@@ -233,7 +233,7 @@ def test_compiled_index_benchmark():
             "filters": len(legacy),
             "probe_repeats": _PROBE_REPEATS,
         },
-        "automaton": {
+        "index": {
             name: getattr(snapshot, name).stats()
             for name in ("blocking", "exceptions")
         },

@@ -35,6 +35,34 @@ from repro.measurement.survey import SurveyConfig
 __all__ = ["main", "build_parser"]
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type`` for an int option with a lower bound.
+
+    An out-of-range value becomes a usage error naming the option
+    (exit 2), not a traceback from deep inside the run.
+    """
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"           # argparse's "invalid int value"
+    return parse
+
+
+def _fraction(text: str) -> float:
+    """argparse ``type`` for a float in ``[0, 1]``."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be between 0 and 1, got {text}")
+    return value
+
+
+_fraction.__name__ = "float"
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=2015)
@@ -91,19 +119,21 @@ def build_parser() -> argparse.ArgumentParser:
     add("table2", "Table 2: Alexa partitions")
 
     survey = add("survey", "Section 5 site survey (scaled)")
-    survey.add_argument("--top", type=int, default=800,
+    survey.add_argument("--top", type=_int_at_least(1), default=800,
                         help="size of the top group (paper: 5000)")
     survey.add_argument("--stratum", type=int, default=150,
                         help="per-stratum sample size (paper: 1000)")
-    survey.add_argument("--fault-rate", type=float, default=0.0,
+    survey.add_argument("--fault-rate", type=_fraction, default=0.0,
                         help="fraction of domains given an injected "
                              "fault (0 disables injection)")
     survey.add_argument("--fault-seed", type=int, default=0,
                         help="seed for fault plan + backoff jitter")
-    survey.add_argument("--max-retries", type=int, default=2,
+    survey.add_argument("--max-retries", type=_int_at_least(0),
+                        default=2,
                         help="retries per target beyond the first "
                              "attempt")
-    survey.add_argument("--workers", type=int, default=None,
+    survey.add_argument("--workers", type=_int_at_least(1),
+                        default=None,
                         metavar="N",
                         help="crawl shared-nothing across N worker "
                              "processes (results identical for every "
@@ -115,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "grants bounded leases on demand with "
                              "worker supervision and crash recovery "
                              "(results identical either way)")
-    survey.add_argument("--lease-size", type=int, default=4,
+    survey.add_argument("--lease-size", type=_int_at_least(1),
+                        default=4,
                         metavar="K",
                         help="units per lease for --scheduler steal "
                              "(default 4; smaller = finer stealing, "
@@ -152,9 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8791,
                        help="bind port; 0 picks a free one "
                             "(default 8791)")
-    serve.add_argument("--max-inflight", type=int, default=8,
+    serve.add_argument("--max-inflight", type=_int_at_least(1),
+                       default=8,
                        help="concurrent requests executed at once")
-    serve.add_argument("--max-queue", type=int, default=64,
+    serve.add_argument("--max-queue", type=_int_at_least(0),
+                       default=64,
                        help="requests allowed to wait for a slot; "
                             "beyond this the daemon sheds (429)")
     serve.add_argument("--deadline-ms", type=float, default=1_000.0,
@@ -177,26 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="honour the X-Repro-Delay-Ms request "
                             "header (drain/chaos tests and the load "
                             "benchmark use it to stretch requests)")
-
-    compile_index = add("compile-index",
-                        "ahead-of-time compile the filter-index "
-                        "artifact into a snapshot store")
-    compile_index.add_argument("--snapshot-dir", metavar="DIR",
-                               required=True,
-                               help="snapshot store to write the "
-                                    "sources and compiled-index "
-                                    "artifact into")
-    compile_index.add_argument("--lists", nargs="+", metavar="PATH",
-                               default=None,
-                               help="filter-list files to compile "
-                                    "(list name = file name stem); "
-                                    "default: the latest stored epoch, "
-                                    "else the study's EasyList + "
-                                    "Acceptable Ads whitelist")
-    compile_index.add_argument("--verify", action="store_true",
-                               help="load the artifact back and check "
-                                    "candidate parity against the "
-                                    "freshly built snapshot")
 
     obs = sub.add_parser(
         "obs", help="analyse exported observability artifacts")
@@ -560,7 +573,7 @@ def _cmd_serve(args, out) -> int:
     def run() -> int:
         try:
             # Store-aware boot: a persisted compiled-index artifact for
-            # these exact lists skips automaton construction entirely.
+            # these exact lists skips keyword-bucket assignment.
             holder = SnapshotHolder.from_sources(sources, store)
         except ReloadError as exc:
             out.write(f"error: {exc}\n")
@@ -596,74 +609,6 @@ def _cmd_serve(args, out) -> int:
         return run()
     with observe(run_id=_derive_run_id(args)):
         return run()
-
-
-def _cmd_compile_index(args, out) -> int:
-    """Pay the index-compilation cost now; every later boot loads it."""
-    from repro.filters.compiled import parse_artifact
-    from repro.filters.filterlist import parse_filter_list
-    from repro.serve.reload import (ReloadError, build_snapshot_from_sources,
-                                    persist_snapshot_artifact)
-    from repro.state.snapshots import SnapshotStore, content_fingerprint
-
-    sources = _serve_sources(args, out)
-    if sources is None:
-        return 2
-    try:
-        # Deliberately store-less: this command's whole point is a
-        # fresh compile, so a stale blob can never be re-blessed.
-        snapshot = build_snapshot_from_sources(sources)
-    except ReloadError as exc:
-        out.write(f"error: {exc}\n")
-        return 2
-    store = SnapshotStore(args.snapshot_dir)
-    persist_snapshot_artifact(store, snapshot, sources)
-    fingerprint = content_fingerprint(sources)
-    out.write(f"compiled epoch {snapshot.epoch} "
-              f"(fingerprint {fingerprint}, "
-              f"{snapshot.filter_count:,} filters) -> {store.directory}\n")
-    for name, stats in snapshot.compiled_stats().items():
-        out.write(f"  {name:<11} {stats['filters']:>6} filters  "
-                  f"{stats['keywords']:>6} keywords  "
-                  f"{stats['fallback']:>5} fallback  "
-                  f"{stats['automaton_states']:>6} automaton states\n")
-    if args.verify:
-        stored = store.load_blob(fingerprint)
-        if stored is None:
-            out.write("verify: FAILED (artifact not found after save)\n")
-            return 1
-        rebuilt = parse_artifact(stored[1]).build_snapshot(
-            [parse_filter_list(text, name=name) for name, text in sources])
-        mismatches = _compile_index_mismatches(snapshot, rebuilt)
-        if mismatches:
-            out.write(f"verify: FAILED ({mismatches} mismatches)\n")
-            return 1
-        out.write("verify: ok (round-trip candidate parity)\n")
-    return 0
-
-
-def _compile_index_mismatches(fresh, rebuilt) -> int:
-    """Structural + probe parity between a snapshot and its round-trip.
-
-    Compares by filter *text* because the rebuilt snapshot holds
-    freshly parsed filter objects: identical keywords, identical
-    bucket-by-bucket filter sequences, and identical candidate
-    sequences for one probe URL per keyword.
-    """
-    mismatches = 0
-    for name in ("blocking", "exceptions"):
-        left = getattr(fresh, name)
-        right = getattr(rebuilt, name)
-        if left.keywords != right.keywords:
-            mismatches += 1
-        if [f.text for f in left] != [f.text for f in right]:
-            mismatches += 1
-        for keyword in left.keywords:
-            url = f"http://probe.example/{keyword}?x=1"
-            if ([f.text for f in left.candidates(url)]
-                    != [f.text for f in right.candidates(url)]):
-                mismatches += 1
-    return mismatches
 
 
 def _obs_load(paths, out):
@@ -958,7 +903,6 @@ _COMMANDS = {
     "temporal": _cmd_temporal,
     "blockable": _cmd_blockable,
     "serve": _cmd_serve,
-    "compile-index": _cmd_compile_index,
     "obs": _cmd_obs,
 }
 

@@ -32,7 +32,6 @@ from repro.filters.compiled import (
     CompiledArtifact,
     CompiledArtifactError,
     CompiledFilterIndex,
-    KeywordAutomaton,
     parse_artifact,
     serialize_artifact,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "FrozenEngineError",
     "Filter",
     "FilterIndex",
-    "KeywordAutomaton",
     "FilterList",
     "FilterOptions",
     "HygieneReport",

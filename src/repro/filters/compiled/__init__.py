@@ -1,14 +1,13 @@
 """Ahead-of-time compiled filter-index machinery.
 
-Three modules, one pipeline: :mod:`~repro.filters.compiled.automaton`
-packs the index's keyword set into flat Aho-Corasick tables,
-:mod:`~repro.filters.compiled.index` wraps them (plus prebuilt bucket
-tuples) as the frozen engine's probe structure, and
-:mod:`~repro.filters.compiled.artifact` serializes the whole thing as a
-versioned, CRC-checksummed artifact that
+Two modules, one pipeline: :mod:`~repro.filters.compiled.index` turns
+a built keyword index into the frozen engine's probe structure (a
+keyword set plus prebuilt bucket tuples), and
+:mod:`~repro.filters.compiled.artifact` serializes its bucket
+assignments as a versioned, CRC-checksummed artifact that
 :class:`~repro.state.snapshots.SnapshotStore` keys by epoch + content
-fingerprint, so fork workers and the serving daemon load it read-only
-instead of rebuilding.  See docs/PERFORMANCE.md for the cost model.
+fingerprint, so the serving daemon loads it instead of re-deriving
+them.  See docs/PERFORMANCE.md for the cost model.
 """
 
 from repro.filters.compiled.artifact import (
@@ -19,11 +18,7 @@ from repro.filters.compiled.artifact import (
     parse_artifact,
     serialize_artifact,
 )
-from repro.filters.compiled.automaton import (
-    TOKEN_TABLE,
-    KeywordAutomaton,
-)
-from repro.filters.compiled.index import CompiledFilterIndex
+from repro.filters.compiled.index import TOKEN_TABLE, CompiledFilterIndex
 
 __all__ = [
     "ARTIFACT_MAGIC",
@@ -31,7 +26,6 @@ __all__ = [
     "CompiledArtifact",
     "CompiledArtifactError",
     "CompiledFilterIndex",
-    "KeywordAutomaton",
     "TOKEN_TABLE",
     "parse_artifact",
     "serialize_artifact",

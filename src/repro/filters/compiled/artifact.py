@@ -1,18 +1,13 @@
 """Versioned, CRC-checksummed serialization of compiled filter indexes.
 
 A frozen :class:`~repro.filters.engine.EngineSnapshot` owns two compiled
-indexes (blocking + exceptions).  Building them is the expensive part of
-a snapshot — keyword extraction per filter, least-crowded bucket
-assignment, Aho-Corasick table construction — and it is a pure function
-of the source filter lists.  This module captures that work as one
-artifact so it is paid **once per subscription epoch**:
-
-* the serving daemon's hot-reload path stores the artifact beside the
-  epoch's source snapshot (``SnapshotStore.save_blob``) and a daemon
-  restart (or a parallel run over the same lists) loads it instead of
-  re-deriving bucket assignments and automaton tables;
-* fork workers inherit the deserialized packed arrays as read-only
-  copy-on-write pages — there is no per-worker warmup left to do.
+indexes (blocking + exceptions).  Building them — keyword extraction per
+filter and least-crowded bucket assignment — is a pure function of the
+source filter lists.  This module captures that work as one artifact so
+it is paid **once per subscription epoch**: the serving daemon's
+hot-reload path stores the artifact beside the epoch's source snapshot
+(``SnapshotStore.save_blob``) and a daemon restart loads it instead of
+re-deriving bucket assignments.
 
 Wire format (all integers little-endian ``struct`` fields)::
 
@@ -21,18 +16,16 @@ Wire format (all integers little-endian ``struct`` fields)::
     u32    header length
     bytes  header JSON: {"epoch", "fingerprint", "byteorder",
                          "indexes": [{name, filters, keywords,
-                                      states, edges, fallback}, ...]}
+                                      fallback}, ...]}
     per index, length-prefixed blobs in fixed order:
-           keywords ("\\n"-joined), assignment (i32 x filters),
-           edge_offsets, edge_syms, edge_targets, fail, out,
-           out_link, depth
+           keywords ("\\n"-joined), assignment (i32 x filters)
     u32    CRC32 of every preceding byte
 
 The artifact stores *bucket assignments*, not filter texts: attaching it
 to freshly parsed lists walks the filters in subscription order and
 places filter ``i`` into bucket ``assignment[i]`` (``-1`` = fallback).
 Safety is layered — truncation and bit-flips fail the CRC; a version or
-byte-order mismatch is rejected before any table is adopted; an epoch or
+byte-order mismatch is rejected before any section is read; an epoch or
 per-index filter-count mismatch (stale artifact against changed lists)
 raises :class:`CompiledArtifactError`; and a deterministic sample of
 bucket assignments is re-validated against each filter's own keyword
@@ -67,18 +60,16 @@ import zlib
 from array import array
 from typing import Iterable, Sequence
 
-from repro.filters.compiled.automaton import KeywordAutomaton
 from repro.filters.compiled.index import CompiledFilterIndex
 from repro.filters.engine import EngineSnapshot
 from repro.filters.filterlist import FilterList
 from repro.filters.parser import ElementFilter, RequestFilter
-from repro.obs import OBS
 
 __all__ = ["ARTIFACT_MAGIC", "ARTIFACT_VERSION", "CompiledArtifactError",
            "CompiledArtifact", "serialize_artifact", "parse_artifact"]
 
 ARTIFACT_MAGIC = b"RPROCIDX"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 #: How many bucketed filters per index get their assignment re-checked
 #: against their own keyword candidates at attach time.
@@ -89,12 +80,6 @@ _U32 = struct.Struct("<I")
 
 class CompiledArtifactError(ValueError):
     """Artifact rejected: corrupt, wrong version, or stale vs the lists."""
-
-
-def _count_artifact(event: str) -> None:
-    if OBS.enabled:
-        OBS.registry.counter("filters.index.automaton_artifact",
-                             event=event).inc()
 
 
 def _pack_blob(payload: bytes) -> bytes:
@@ -160,7 +145,6 @@ def serialize_artifact(snapshot: EngineSnapshot, *,
     header_indexes = []
     sections: list[bytes] = []
     for name, index in indexes:
-        auto = index.automaton
         ordered = filter_orders[name]
         if len(ordered) != len(index):
             raise CompiledArtifactError(
@@ -170,21 +154,12 @@ def serialize_artifact(snapshot: EngineSnapshot, *,
             "name": name,
             "filters": len(ordered),
             "keywords": len(index.keywords),
-            "states": auto.states,
-            "edges": auto.edges,
             "fallback": len(index.fallback),
         })
         sections.append(_pack_blob(
             "\n".join(index.keywords).encode("ascii")))
         sections.append(_pack_i32(
             index.bucket_of(flt) for flt in ordered))
-        sections.append(_pack_i32(auto.edge_offsets))
-        sections.append(_pack_blob(auto.edge_syms))
-        sections.append(_pack_i32(auto.edge_targets))
-        sections.append(_pack_i32(auto.fail))
-        sections.append(_pack_i32(auto.out))
-        sections.append(_pack_i32(auto.out_link))
-        sections.append(_pack_i32(auto.depth))
     header = json.dumps({
         "epoch": snapshot.epoch,
         "fingerprint": fingerprint,
@@ -193,7 +168,6 @@ def serialize_artifact(snapshot: EngineSnapshot, *,
     }, sort_keys=True).encode("utf-8")
     body = (ARTIFACT_MAGIC + _U32.pack(ARTIFACT_VERSION)
             + _pack_blob(header) + b"".join(sections))
-    _count_artifact("saved")
     return body + _U32.pack(zlib.crc32(body))
 
 
@@ -232,8 +206,7 @@ class CompiledArtifact:
 
     def stats(self) -> dict[str, dict[str, int]]:
         return {name: {"filters": len(section["assignment"]),
-                       "keywords": len(section["keywords"]),
-                       "states": len(section["fail"])}
+                       "keywords": len(section["keywords"])}
                 for name, section in self._sections.items()}
 
     def build_snapshot(self,
@@ -249,19 +222,12 @@ class CompiledArtifact:
         lists = tuple(filter_lists)
         epoch = sum(len(tuple(fl.filters)) for fl in lists)
         if epoch != self.epoch:
-            _count_artifact("rejected")
             raise CompiledArtifactError(
                 f"stale artifact: compiled at epoch {self.epoch}, "
                 f"lists now total {epoch} filters")
         orders = _request_filters_by_index(lists)
-        try:
-            indexes = {
-                name: self._attach_index(name, orders[name])
-                for name in ("blocking", "exceptions")
-            }
-        except CompiledArtifactError:
-            _count_artifact("rejected")
-            raise
+        indexes = {name: self._attach_index(name, orders[name])
+                   for name in ("blocking", "exceptions")}
         element_hide: list[tuple[str, ElementFilter]] = []
         element_exceptions: list[tuple[str, ElementFilter]] = []
         list_of_filter: dict[int, str] = {}
@@ -306,19 +272,9 @@ class CompiledArtifact:
                     f"{name} assignment references bucket {kid} "
                     f"of {len(buckets)}")
         self._verify_sample(name, keywords, ordered, assignment)
-        automaton = KeywordAutomaton.from_tables(
-            keywords=[keyword.encode("ascii") for keyword in keywords],
-            edge_offsets=section["edge_offsets"],
-            edge_syms=section["edge_syms"],
-            edge_targets=section["edge_targets"],
-            fail=section["fail"],
-            out=section["out"],
-            out_link=section["out_link"],
-            depth=section["depth"],
-        )
         return CompiledFilterIndex.from_parts(
             name=name, keywords=keywords, buckets=buckets,
-            fallback=fallback, automaton=automaton)
+            fallback=fallback)
 
     @staticmethod
     def _verify_sample(name: str, keywords: tuple[str, ...],
@@ -352,7 +308,6 @@ def parse_artifact(data: bytes) -> CompiledArtifact:
         raise CompiledArtifactError("bad artifact magic")
     (crc_stored,) = _U32.unpack_from(data, len(data) - 4)
     if zlib.crc32(data[:-4]) != crc_stored:
-        _count_artifact("rejected")
         raise CompiledArtifactError("artifact CRC mismatch")
     (version,) = _U32.unpack_from(data, len(ARTIFACT_MAGIC))
     if version != ARTIFACT_VERSION:
@@ -373,8 +328,6 @@ def parse_artifact(data: bytes) -> CompiledArtifact:
     sections: dict[str, dict] = {}
     for meta in header.get("indexes", ()):
         name = meta["name"]
-        states = int(meta["states"])
-        edges = int(meta["edges"])
         keyword_blob = reader.blob()
         keywords = (tuple(keyword_blob.decode("ascii").split("\n"))
                     if keyword_blob else ())
@@ -384,17 +337,7 @@ def parse_artifact(data: bytes) -> CompiledArtifact:
         sections[name] = {
             "keywords": keywords,
             "assignment": reader.i32(int(meta["filters"])),
-            "edge_offsets": reader.i32(states + 1),
-            "edge_syms": reader.blob(),
-            "edge_targets": reader.i32(edges),
-            "fail": reader.i32(states),
-            "out": reader.i32(states),
-            "out_link": reader.i32(states),
-            "depth": reader.i32(states),
         }
-        if len(sections[name]["edge_syms"]) != edges:
-            raise CompiledArtifactError(
-                f"{name}: edge symbols drifted from header")
     if reader.offset != len(reader.data):
         raise CompiledArtifactError("trailing bytes after last section")
     if set(sections) != {"blocking", "exceptions"}:

@@ -25,10 +25,8 @@ distinct URL tokens in first-occurrence order select buckets (bucket
 contents in insertion order), then the fallback bucket, always, last —
 the never-filter-out-a-match guarantee is untouched.  The
 differential-fuzz suite (``tests/filters/test_compiled_fuzz.py``) holds
-this equivalence against both the legacy index and the packed
-:class:`~repro.filters.compiled.automaton.KeywordAutomaton`, which is
-compiled alongside as the index's serialized identity and reference
-matcher.
+this equivalence against the legacy ``FilterIndex``, which stays as the
+oracle.
 
 Non-ASCII URLs take a conservative detour through the legacy string
 tokeniser: ``str.lower()`` can fold non-ASCII code points *into* ASCII
@@ -51,13 +49,31 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator, Sequence
 
-from repro.filters.compiled.automaton import TOKEN_TABLE, KeywordAutomaton
 from repro.filters.index import FilterIndex, _url_tokens
 from repro.filters.options import ContentType
 from repro.filters.parser import RequestFilter
 from repro.obs import OBS
 
-__all__ = ["CompiledFilterIndex"]
+__all__ = ["CompiledFilterIndex", "TOKEN_TABLE"]
+
+#: The token alphabet: exactly the character class of the index's
+#: ``_URL_KEYWORD_RE`` (``[a-z0-9%]``).
+_TOKEN_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789%"
+
+
+def _build_token_table() -> bytes:
+    table = bytearray(b" " * 256)
+    for byte in _TOKEN_BYTES:
+        table[byte] = byte
+    for byte in range(ord("A"), ord("Z") + 1):
+        table[byte] = byte + 32          # lowercase, like str.lower()
+    return bytes(table)
+
+
+#: ``bytes.translate`` table: token bytes pass through (uppercase
+#: lowercased), every other byte becomes a space.  After translation,
+#: ``.split()`` yields exactly the URL's keyword-alphabet tokens.
+TOKEN_TABLE = _build_token_table()
 
 
 class _MultiCandidates:
@@ -86,7 +102,7 @@ class _MultiCandidates:
 
 
 class CompiledFilterIndex:
-    """Read-only keyword index: packed automaton + prebuilt bucket tuples.
+    """Read-only keyword index: keyword set + prebuilt bucket tuples.
 
     Construction goes through :meth:`compile` (from a built
     ``FilterIndex``) or :meth:`from_parts` (the artifact-load path).
@@ -96,18 +112,16 @@ class CompiledFilterIndex:
     reusable sequence rather than a one-shot generator.
     """
 
-    __slots__ = ("name", "automaton", "_keywords", "_buckets", "_fallback",
+    __slots__ = ("name", "_keywords", "_buckets", "_fallback",
                  "_kwset", "_single", "_raw", "_bucket_of", "_count")
 
     def __init__(self, *, name: str,
                  keywords: tuple[str, ...],
                  buckets: tuple[tuple[RequestFilter, ...], ...],
-                 fallback: tuple[RequestFilter, ...],
-                 automaton: KeywordAutomaton) -> None:
+                 fallback: tuple[RequestFilter, ...]) -> None:
         if len(keywords) != len(buckets):
             raise ValueError("one bucket per keyword required")
         self.name = name
-        self.automaton = automaton
         self._keywords = keywords
         self._buckets = buckets
         self._fallback = fallback
@@ -135,38 +149,21 @@ class CompiledFilterIndex:
     def compile(cls, index: FilterIndex,
                 name: str = "index") -> "CompiledFilterIndex":
         """Compile a built ``FilterIndex`` (bucket order preserved)."""
-        keywords = tuple(index._by_keyword)
-        buckets = tuple(tuple(bucket)
-                        for bucket in index._by_keyword.values())
-        fallback = tuple(index._fallback)
-        automaton = KeywordAutomaton.build(
-            keyword.encode("ascii") for keyword in keywords)
-        compiled = cls(name=name, keywords=keywords, buckets=buckets,
-                       fallback=fallback, automaton=automaton)
-        if OBS.enabled:
-            reg = OBS.registry
-            reg.counter("filters.index.automaton_builds",
-                        index=name, source="compile").inc()
-            reg.gauge("filters.index.automaton_states",
-                      index=name).set(automaton.states)
-        return compiled
+        return cls(name=name,
+                   keywords=tuple(index._by_keyword),
+                   buckets=tuple(tuple(bucket)
+                                 for bucket in index._by_keyword.values()),
+                   fallback=tuple(index._fallback))
 
     @classmethod
     def from_parts(cls, *, name: str, keywords: Sequence[str],
                    buckets: Sequence[Sequence[RequestFilter]],
-                   fallback: Sequence[RequestFilter],
-                   automaton: KeywordAutomaton) -> "CompiledFilterIndex":
-        """Assemble from deserialized parts (no automaton rebuild)."""
-        compiled = cls(name=name, keywords=tuple(keywords),
-                       buckets=tuple(tuple(b) for b in buckets),
-                       fallback=tuple(fallback), automaton=automaton)
-        if OBS.enabled:
-            reg = OBS.registry
-            reg.counter("filters.index.automaton_builds",
-                        index=name, source="artifact").inc()
-            reg.gauge("filters.index.automaton_states",
-                      index=name).set(automaton.states)
-        return compiled
+                   fallback: Sequence[RequestFilter]
+                   ) -> "CompiledFilterIndex":
+        """Assemble from deserialized parts (the artifact-load path)."""
+        return cls(name=name, keywords=tuple(keywords),
+                   buckets=tuple(tuple(b) for b in buckets),
+                   fallback=tuple(fallback))
 
     # -- introspection -------------------------------------------------
 
@@ -194,13 +191,10 @@ class CompiledFilterIndex:
         return self._bucket_of[id(flt)]
 
     def stats(self) -> dict[str, int]:
-        """Size figures for health endpoints and the CLI."""
+        """Size figures for ``/healthz`` and the compiled-index benchmark."""
         return {"filters": self._count,
                 "keywords": len(self._keywords),
-                "fallback": len(self._fallback),
-                **{f"automaton_{key}": value
-                   for key, value in self.automaton.stats().items()
-                   if key != "keywords"}}
+                "fallback": len(self._fallback)}
 
     # -- probing -------------------------------------------------------
 
@@ -248,18 +242,15 @@ class CompiledFilterIndex:
 
         Probes the *identical* bucket sequence as the fast path (same
         driver, same ordering); ``bucket_misses`` counts distinct
-        keyword-eligible tokens (length >= 3) absent from the index,
-        and ``automaton_transitions`` counts the symbols the probe
-        drives through the completed automaton — one transition per
-        byte of every distinct token offered.
+        keyword-eligible tokens (length >= 3) absent from the index.
         """
         if url.isascii():
             raw_tokens = url.encode("ascii").translate(TOKEN_TABLE).split()
             distinct = [token for token in dict.fromkeys(raw_tokens)
                         if len(token) >= 3]
         else:
-            raw_tokens = distinct = [token.encode("ascii")
-                                     for token in _url_tokens(url)]
+            distinct = [token.encode("ascii")
+                        for token in _url_tokens(url)]
         kwset = self._kwset
         order = [token for token in distinct if token in kwset]
         reg = OBS.registry
@@ -267,8 +258,6 @@ class CompiledFilterIndex:
         reg.counter("filters.index.bucket_hits").inc(len(order))
         reg.counter("filters.index.bucket_misses").inc(
             len(distinct) - len(order))
-        reg.counter("filters.index.automaton_transitions").inc(
-            sum(map(len, distinct)))
         raw = self._raw
         yielded = sum(len(raw[token]) for token in order)
         reg.counter("filters.index.candidates_yielded").inc(

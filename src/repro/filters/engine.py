@@ -173,7 +173,7 @@ class EngineSnapshot:
         return sum(len(fl) for fl in self.lists)
 
     def compiled_stats(self) -> dict[str, dict[str, int]]:
-        """Per-index size figures (``/healthz``, the compile-index CLI).
+        """Per-index size figures (reported by ``/healthz``).
 
         Empty when the snapshot's indexes are not compiled (only
         possible for hand-assembled snapshots; :meth:`build` and
@@ -275,7 +275,7 @@ class AdblockEngine:
         Freezing is also where the keyword indexes are *compiled*: the
         mutable :class:`FilterIndex` pair becomes a pair of read-only
         :class:`~repro.filters.compiled.index.CompiledFilterIndex`
-        (packed keyword automaton + prebuilt candidate tuples), and the
+        (keyword set + prebuilt candidate tuples), and the
         engine rebinds to them so its own probes take the compiled hot
         path too.  Candidate ordering is preserved byte-for-byte.
         """

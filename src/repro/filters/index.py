@@ -38,8 +38,8 @@ see the method docstring for the exact tie-breaking doctest.
 
 ``FilterIndex`` is the *build-time* structure; freezing an engine
 compiles it into the read-only
-:class:`~repro.filters.compiled.index.CompiledFilterIndex` (packed
-keyword automaton, prebuilt candidate tuples), which preserves both
+:class:`~repro.filters.compiled.index.CompiledFilterIndex` (keyword
+set, prebuilt candidate tuples), which preserves both
 semantics above byte-for-byte — the differential-fuzz suite holds the
 two implementations equal.
 

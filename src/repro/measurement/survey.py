@@ -156,7 +156,7 @@ def build_engines(history: "WhitelistHistory",
     if with_whitelist:
         engine.subscribe(whitelist)
     # Freeze immediately: the survey never re-subscribes, and freezing
-    # compiles the keyword indexes (packed automaton + prebuilt bucket
+    # compiles the keyword indexes (keyword set + prebuilt bucket
     # tuples) so every probe — serial or forked worker — takes the
     # compiled hot path.
     engine.freeze()

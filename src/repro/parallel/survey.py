@@ -24,8 +24,8 @@ scheduling order — because every unit is executed shared-nothing:
 
 **Engine sharing.**  The parent's engine is frozen before the pool
 forks, so each worker inherits the compiled filter indexes
-(:mod:`repro.filters.compiled`: packed automaton arrays, prebuilt
-candidate tuples) as read-only copy-on-write pages.  Workers never
+(:mod:`repro.filters.compiled`: keyword set, prebuilt candidate
+tuples) as read-only copy-on-write pages.  Workers never
 write them — there is no per-worker tokeniser cache left to warm, so
 the pages stay physically shared for the lifetime of the pool.
 

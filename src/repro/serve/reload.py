@@ -23,9 +23,9 @@ Each successful swap persists its source lists to the epoch-keyed
 plus the compiled filter-index artifact
 (:mod:`repro.filters.compiled.artifact`) keyed by the same epoch and
 content fingerprint — so a daemon restart, or a reload back to
-previously served lists, skips keyword-bucket assignment and automaton
-construction and adopts the prebuilt tables instead (falling back to a
-from-scratch build on any artifact problem).
+previously served lists, skips keyword-bucket assignment and adopts the
+stored assignments instead (falling back to a from-scratch build on any
+artifact problem).
 
 >>> from repro.serve.reload import SnapshotHolder, Reloader
 >>> holder = SnapshotHolder.from_sources([("easylist", "||ads.example^")])
@@ -51,7 +51,7 @@ from repro.filters.compiled import (
     serialize_artifact,
 )
 from repro.filters.engine import EngineSnapshot
-from repro.filters.filterlist import parse_filter_list
+from repro.filters.filterlist import FilterList, parse_filter_list
 from repro.obs import OBS
 from repro.state.crashpoints import crashpoint
 from repro.state.snapshots import SnapshotStore, content_fingerprint
@@ -81,19 +81,22 @@ class ReloadResult:
     filters: int = 0          # active filters in the swapped snapshot
 
 
-def validate_sources(sources: Sequence[tuple[str, str]]) -> None:
-    """Reject candidate lists that must never reach the serving path.
+def validate_sources(
+        sources: Sequence[tuple[str, str]]) -> list[FilterList]:
+    """Parse candidate lists, rejecting any that must never be served.
 
     Rules: at least one list; list names non-empty and unique; every
     list parses to at least one active filter (an empty or fully
     malformed list is almost always an upstream fetch gone wrong, and
     swapping it in would silently flip every verdict to NO_MATCH —
     exactly the "stale or half-loaded list" drift the longitudinal
-    blocklist studies warn about).
+    blocklist studies warn about).  Returns the parsed lists, in
+    source order, so callers build from them without parsing again.
     """
     if not sources:
         raise ReloadError("no filter lists in candidate")
     seen: set[str] = set()
+    lists: list[FilterList] = []
     for name, text in sources:
         if not name:
             raise ReloadError("candidate list with an empty name")
@@ -105,6 +108,8 @@ def validate_sources(sources: Sequence[tuple[str, str]]) -> None:
         if active == 0:
             raise ReloadError(
                 f"candidate list {name!r} parsed to 0 active filters")
+        lists.append(parsed)
+    return lists
 
 
 def build_snapshot_from_sources(
@@ -114,18 +119,17 @@ def build_snapshot_from_sources(
 
     With a ``store`` attached, the compiled filter-index artifact keyed
     by the sources' content fingerprint is tried first: a hit skips
-    keyword-bucket assignment and automaton construction entirely (the
-    lists are still parsed and validated — the artifact carries *index
-    structure*, not filter semantics).  Any artifact problem — absent,
+    keyword-bucket assignment entirely (the lists are still parsed and
+    validated, once — the artifact carries *index structure*, not filter
+    semantics).  Any artifact problem — absent,
     corrupt, stale — falls back to the from-scratch build, so the
     artifact path can only ever make a reload faster, never wronger.
 
     The ``serve.reload.build`` crashpoint lets the chaos harness kill
     the builder mid-compile and prove the old epoch keeps serving.
     """
-    validate_sources(sources)
+    lists = validate_sources(sources)
     crashpoint("serve.reload.build")
-    lists = [parse_filter_list(text, name=name) for name, text in sources]
     if store is not None:
         snapshot = _snapshot_from_artifact(sources, lists, store)
         if snapshot is not None:
@@ -137,23 +141,23 @@ def _snapshot_from_artifact(sources, lists, store):
     """The artifact fast path; ``None`` means "build from scratch"."""
     found = store.load_blob(content_fingerprint(sources))
     if found is None:
-        _count_artifact_load("miss")
+        _count_artifact("load_miss")
         return None
     _epoch, payload = found
     try:
         snapshot = parse_artifact(payload).build_snapshot(lists)
     except CompiledArtifactError:
-        # parse/attach already counted the rejection under
-        # filters.index.automaton_artifact{event=rejected}.
+        # Every rejection — corrupt, wrong version, stale — lands here.
+        _count_artifact("rejected")
         return None
-    _count_artifact_load("hit")
+    _count_artifact("load_hit")
     return snapshot
 
 
-def _count_artifact_load(event: str) -> None:
+def _count_artifact(event: str) -> None:
     if OBS.enabled:
         OBS.registry.counter("filters.index.automaton_artifact",
-                             event=f"load_{event}").inc()
+                             event=event).inc()
 
 
 def persist_snapshot_artifact(store: SnapshotStore,
@@ -163,13 +167,14 @@ def persist_snapshot_artifact(store: SnapshotStore,
 
     The blob shares the source snapshot's epoch + content-fingerprint
     identity, so the next boot or reload of these exact lists loads the
-    prebuilt tables instead of re-deriving them.
+    stored bucket assignments instead of re-deriving them.
     """
     store.save(snapshot.epoch, sources)
     fingerprint = content_fingerprint(
         [(str(name), str(text)) for name, text in sources])
     store.save_blob(snapshot.epoch, fingerprint,
                     serialize_artifact(snapshot, fingerprint=fingerprint))
+    _count_artifact("saved")
 
 
 class SnapshotHolder:

@@ -37,6 +37,23 @@ class TestParser:
                                           "--seed", "7"])
         assert args.fast and args.seed == 7
 
+    @pytest.mark.parametrize("argv, option", [
+        (["survey", "--fault-rate", "1.5"], "--fault-rate"),
+        (["survey", "--workers", "0"], "--workers"),
+        (["survey", "--max-retries", "-1"], "--max-retries"),
+        (["survey", "--top", "0"], "--top"),
+        (["survey", "--workers", "2", "--scheduler", "steal",
+          "--lease-size", "0"], "--lease-size"),
+        (["serve", "--max-inflight", "0"], "--max-inflight"),
+        (["serve", "--max-queue", "-1"], "--max-queue"),
+    ])
+    def test_out_of_range_values_are_usage_errors(self, argv, option,
+                                                  capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv, out=io.StringIO())
+        assert exit_info.value.code == 2
+        assert f"argument {option}:" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_table1(self):

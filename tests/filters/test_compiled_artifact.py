@@ -59,8 +59,19 @@ class TestRoundTrip:
         snapshot, blob = build_blob(lists)
         rebuilt = parse_artifact(blob).build_snapshot(lists)
         assert rebuilt.epoch == snapshot.epoch
-        assert rebuilt.blocking.keywords == snapshot.blocking.keywords
-        assert rebuilt.exceptions.keywords == snapshot.exceptions.keywords
+        for name in ("blocking", "exceptions"):
+            fresh, loaded = getattr(snapshot, name), getattr(rebuilt, name)
+            # By text: the rebuilt snapshot holds its own filter objects.
+            assert loaded.keywords == fresh.keywords
+            for kid in range(len(fresh.keywords)):
+                assert ([f.text for f in loaded.bucket_filters(kid)]
+                        == [f.text for f in fresh.bucket_filters(kid)])
+            assert ([f.text for f in loaded.fallback]
+                    == [f.text for f in fresh.fallback])
+            for keyword in fresh.keywords:
+                url = f"http://probe.example/{keyword}?x=1"
+                assert ([f.text for f in loaded.candidates(url)]
+                        == [f.text for f in fresh.candidates(url)]), url
         urls = ["http://ads.example/x", "http://track.example/banner",
                 "http://good.example/", "http://nothing.example/a/ads"]
         for url in urls:
@@ -150,14 +161,21 @@ class TestRejection:
         with pytest.raises(CompiledArtifactError):
             parse_artifact(blob).build_snapshot(impostor)
 
-    def test_rejections_are_counted(self):
-        lists = build_lists()
-        _, blob = build_blob(lists)
+    def test_rejections_are_counted(self, tmp_path):
+        # Counted once, where the store path falls back to a fresh
+        # build; parsing alone records nothing.
+        from repro.serve.reload import build_snapshot_from_sources
+        from repro.state.snapshots import SnapshotStore, content_fingerprint
+        sources = [("easylist", EASYLIST), ("whitelist", WHITELIST)]
+        _, blob = build_blob()
         corrupt = bytearray(blob)
         corrupt[len(blob) // 2] ^= 0x01
+        store = SnapshotStore(str(tmp_path / "store"))
+        store.save_blob(7, content_fingerprint(sources), bytes(corrupt))
         with observe() as (registry, _):
             with pytest.raises(CompiledArtifactError):
                 parse_artifact(bytes(corrupt))
+            build_snapshot_from_sources(sources, store)
         assert registry.flat()[
             "filters.index.automaton_artifact{event=rejected}"] == 1
 
@@ -180,8 +198,6 @@ class TestStoreIntegration:
         flat = registry.flat()
         assert flat[
             "filters.index.automaton_artifact{event=load_hit}"] == 1
-        assert ("filters.index.automaton_builds"
-                "{index=blocking,source=artifact}") in flat
         assert loaded.epoch == snapshot.epoch
         assert loaded.blocking.keywords == snapshot.blocking.keywords
 
@@ -209,6 +225,34 @@ class TestStoreIntegration:
         loaded = build_snapshot_from_sources(self.SOURCES, store)
         assert loaded.epoch == snapshot.epoch      # built from scratch
         assert loaded.blocking.keywords == snapshot.blocking.keywords
+
+    def test_version_mismatch_counts_a_rejection_and_builds(self, tmp_path):
+        from repro.serve.reload import (build_snapshot_from_sources,
+                                        persist_snapshot_artifact)
+        from repro.state.snapshots import content_fingerprint
+        store = self.make_store(tmp_path)
+        fresh = build_snapshot_from_sources(self.SOURCES)
+        persist_snapshot_artifact(store, fresh, self.SOURCES)
+        fingerprint = content_fingerprint(self.SOURCES)
+        epoch, payload = store.load_blob(fingerprint)
+        body = bytearray(payload[:-4])
+        struct.pack_into("<I", body, len(ARTIFACT_MAGIC),
+                         ARTIFACT_VERSION + 1)
+        store.save_blob(epoch, fingerprint, recrc(bytes(body)))
+        with observe() as (registry, _):
+            loaded = build_snapshot_from_sources(self.SOURCES, store)
+        flat = registry.flat()
+        assert flat[
+            "filters.index.automaton_artifact{event=rejected}"] == 1
+        assert not any(key.startswith("filters.index.automaton_artifact"
+                                      "{event=load_")
+                       for key in flat)
+        assert loaded.epoch == fresh.epoch
+        for name in ("blocking", "exceptions"):
+            assert (getattr(loaded, name).stats()
+                    == getattr(fresh, name).stats())
+            assert ([f.text for f in getattr(loaded, name)]
+                    == [f.text for f in getattr(fresh, name)])
 
     def test_blob_for_other_lists_is_not_found(self, tmp_path):
         from repro.serve.reload import (build_snapshot_from_sources,

@@ -1,9 +1,6 @@
-"""Unit tests for the compiled filter index and its keyword automaton."""
+"""Unit tests for the compiled filter index."""
 
-import pytest
-
-from repro.filters.compiled.automaton import TOKEN_TABLE, KeywordAutomaton
-from repro.filters.compiled.index import CompiledFilterIndex
+from repro.filters.compiled.index import TOKEN_TABLE, CompiledFilterIndex
 from repro.filters.index import FilterIndex, _url_tokens
 from repro.filters.options import ContentType
 from repro.filters.parser import parse_filter
@@ -46,58 +43,11 @@ def build_pair(texts=FILTERS):
     return legacy, CompiledFilterIndex.compile(legacy)
 
 
-class TestAutomaton:
+class TestTokenTable:
     def test_token_table_lowercases_and_collapses(self):
         raw = b"HTTP://Ads.Example/x?y=1%2F"
         toks = raw.translate(TOKEN_TABLE).split()
         assert toks == [b"http", b"ads", b"example", b"x", b"y", b"1%2f"]
-
-    def test_walk_token_exact_match_only(self):
-        auto = KeywordAutomaton.build([b"ads", b"adserv"])
-        assert auto.walk_token(b"ads") == 0
-        assert auto.walk_token(b"adserv") == 1
-        assert auto.walk_token(b"adse") is None      # prefix, not a keyword
-        assert auto.walk_token(b"xads") is None      # not from the root
-
-    def test_token_hits_respect_boundaries(self):
-        auto = KeywordAutomaton.build([b"ads", b"track"])
-        # 'preads' contains 'ads' as a suffix substring, not a token.
-        hits = auto.token_hits(b"http://preads.example/track?ads=1")
-        assert [auto.keywords[kid] for kid in hits] == [b"track", b"ads"]
-
-    def test_scan_emits_suffix_keywords(self):
-        auto = KeywordAutomaton.build([b"he", b"she", b"hers"])
-        assert [(pos, auto.keywords[kid])
-                for pos, kid in auto.scan(b"shers")] == \
-            [(3, b"she"), (3, b"he"), (5, b"hers")]
-
-    def test_build_rejects_bad_keywords(self):
-        with pytest.raises(ValueError):
-            KeywordAutomaton.build([b"ads", b"ads"])          # duplicate
-        with pytest.raises(ValueError):
-            KeywordAutomaton.build([b""])                     # empty
-        with pytest.raises(ValueError):
-            KeywordAutomaton.build([b"Ads"])                  # not lowercased
-
-    def test_from_tables_validates_structure(self):
-        auto = KeywordAutomaton.build([b"ads", b"track"])
-        with pytest.raises(ValueError):
-            KeywordAutomaton.from_tables(
-                keywords=list(auto.keywords),
-                edge_offsets=auto.edge_offsets,
-                edge_syms=auto.edge_syms,
-                edge_targets=auto.edge_targets,
-                fail=auto.fail[:-1],                 # wrong length
-                out=auto.out,
-                out_link=auto.out_link,
-                depth=auto.depth)
-
-    def test_stats_shape(self):
-        auto = KeywordAutomaton.build([b"ads"])
-        stats = auto.stats()
-        assert set(stats) == {"keywords", "states", "edges"}
-        assert stats["keywords"] == 1
-        assert stats["states"] == 4                  # root + 'a','d','s'
 
 
 class TestCompiledIndexParity:
@@ -158,8 +108,7 @@ class TestCompiledIndexParity:
     def test_stats_keys(self):
         _, compiled = build_pair()
         stats = compiled.stats()
-        assert set(stats) == {"filters", "keywords", "fallback",
-                              "automaton_states", "automaton_edges"}
+        assert set(stats) == {"filters", "keywords", "fallback"}
         assert stats["filters"] == len(FILTERS)
 
     def test_non_ascii_url_uses_legacy_tokens(self):

@@ -40,6 +40,42 @@ class TestValidation:
             validate_sources([("x", "! only a comment\n")])
 
 
+class TestParseOnce:
+    """Each source list is parsed once per build, on either path."""
+
+    def count_parses(self, monkeypatch):
+        import repro.serve.reload as reload_mod
+        calls = []
+        real = reload_mod.parse_filter_list
+
+        def counting(text, name=""):
+            calls.append(name)
+            return real(text, name=name)
+
+        monkeypatch.setattr(reload_mod, "parse_filter_list", counting)
+        return calls
+
+    def test_fresh_build_parses_each_source_once(self, monkeypatch):
+        sources = GOOD + [("whitelist", "@@||good.example^$document")]
+        calls = self.count_parses(monkeypatch)
+        build_snapshot_from_sources(sources)
+        assert calls == ["easylist", "whitelist"]
+
+    def test_store_build_parses_each_source_once(self, tmp_path,
+                                                 monkeypatch):
+        from repro.serve.reload import persist_snapshot_artifact
+        sources = GOOD + [("whitelist", "@@||good.example^$document")]
+        store = SnapshotStore(str(tmp_path))
+        persist_snapshot_artifact(
+            store, build_snapshot_from_sources(sources), sources)
+        calls = self.count_parses(monkeypatch)
+        with observe() as (registry, _):
+            build_snapshot_from_sources(sources, store)
+        assert registry.flat()[
+            "filters.index.automaton_artifact{event=load_hit}"] == 1
+        assert calls == ["easylist", "whitelist"]
+
+
 class TestSwap:
     def test_swap_advances_epoch_and_generation(self):
         holder = SnapshotHolder.from_sources(GOOD)
