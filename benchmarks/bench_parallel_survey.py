@@ -8,9 +8,9 @@ Two questions, answered in one JSON artifact
    the simulated per-target crawl latency (retries, backoff, breaker
    waits).  We run the same survey at 1/2/4/8 workers, record real
    wall-clock per count, and compute the *simulated makespan* speedup —
-   total per-unit latency over the slowest round-robin shard's latency
-   — which is what wall-clock converges to on a machine with that many
-   free cores.  (CI runners and this container often pin us to one or
+   total per-unit latency over the slowest shard of a static
+   round-robin deal — which is what a pre-dealt split's wall-clock
+   converges to on a machine with that many free cores.  (CI runners and this container often pin us to one or
    two cores, so real wall-clock is recorded but the makespan carries
    the assertion.)
 
@@ -39,7 +39,6 @@ import time
 from repro.history.generator import generate_history
 from repro.measurement.survey import SurveyConfig, run_survey
 from repro.parallel.caches import reset_process_caches
-from repro.parallel.pool import shard_round_robin
 
 from benchmarks.conftest import BENCH_QUICK, print_block
 
@@ -77,8 +76,7 @@ def _unit_latencies(result) -> list[float]:
 
 def _simulated_speedup(latencies: list[float], workers: int) -> float:
     """Serial latency total over the slowest round-robin shard's total."""
-    shards = shard_round_robin(latencies, workers)
-    makespan = max(sum(shard) for shard in shards)
+    makespan = max(sum(latencies[i::workers]) for i in range(workers))
     return sum(latencies) / makespan if makespan else float("inf")
 
 

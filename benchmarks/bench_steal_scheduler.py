@@ -3,16 +3,16 @@
 Three questions, answered in one JSON artifact
 (``BENCH_steal_scheduler.json`` at the repo root):
 
-1. **How well does stealing parallelise?**  The same survey runs under
-   ``--scheduler steal`` at 1/2/4/8 workers; real wall-clock is
+1. **How well does stealing parallelise?**  The same survey runs at
+   1/2/4/8 workers; real wall-clock is
    recorded per count, and the assertion rides on the *simulated
    makespan* speedup from
    :func:`repro.parallel.scheduler.simulate_steal_makespan` — a pure
    event model of leases on N free cores, which is what wall-clock
-   converges to on an unloaded machine.  Demand-driven leases beat the
-   round-robin pool's static deal (whose speedup is bounded by its
-   slowest pre-dealt shard), so the 8-worker target here is 7x where
-   the round-robin baseline measures ~6.4x.
+   converges to on an unloaded machine.  Demand-driven leases beat a
+   static round-robin deal (whose speedup is bounded by its slowest
+   pre-dealt shard), so the 8-worker target here is 7x where the
+   round-robin model measures ~6.4x.
 
 2. **What does losing a worker cost?**  The makespan model kills 1 of
    8 workers at the no-kill midpoint (lease requeued, no replacement —
@@ -21,7 +21,7 @@ Three questions, answered in one JSON artifact
 
 3. **Does a kill schedule change results?**  A real steal run under an
    injected kill schedule is diffed byte-for-byte against the
-   round-robin reference — the fault-tolerance contract is that it
+   one-worker reference — the fault-tolerance contract is that it
    never does.
 
 A lease-size sweep backs the trade-off table in
@@ -43,7 +43,6 @@ import time
 from repro.history.generator import generate_history
 from repro.measurement.survey import SurveyConfig, run_survey
 from repro.parallel.caches import reset_process_caches
-from repro.parallel.pool import shard_round_robin
 from repro.parallel.scheduler import simulate_steal_makespan
 from repro.parallel.supervisor import WorkerCrashInjector
 from repro.web.crawlstate import snapshot_outcome
@@ -71,11 +70,11 @@ _RESULT_PATH = os.path.join(
     else "BENCH_steal_scheduler.json")
 
 
-def _survey(history, *, scheduler="steal", workers=1, injector=None):
+def _survey(history, *, workers=1, injector=None):
     reset_process_caches()
     start = time.perf_counter()
     result = run_survey(history, SurveyConfig(
-        **_CONFIG, workers=workers, scheduler=scheduler,
+        **_CONFIG, workers=workers,
         lease_size=_LEASE_SIZE, steal_crash_injector=injector))
     return result, time.perf_counter() - start
 
@@ -119,8 +118,7 @@ def measure_steal(history) -> tuple[dict, dict]:
         for workers in _WORKER_COUNTS}
     roundrobin_speedup = {
         str(workers): round(speedup(max(
-            sum(shard) for shard in shard_round_robin(latencies, workers))),
-            3)
+            sum(latencies[i::workers]) for i in range(workers))), 3)
         for workers in _WORKER_COUNTS}
     sweep = {
         str(lease_size): round(speedup(simulate_steal_makespan(
@@ -135,11 +133,8 @@ def measure_steal(history) -> tuple[dict, dict]:
     # schedule must be byte-identical to the undisturbed reference.
     injector = WorkerCrashInjector(kill_after={0: 2, 1: 5})
     survived, kill_wall = _survey(history, workers=4, injector=injector)
-    shards, _ = _survey(history, scheduler="shards", workers=4)
     assert _canonical(survived) == reference, \
         "kill schedule changed steal results"
-    assert _canonical(shards) == reference, \
-        "steal and round-robin results diverge"
 
     steal = {
         "units": len(latencies),

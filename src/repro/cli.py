@@ -135,27 +135,21 @@ def build_parser() -> argparse.ArgumentParser:
     survey.add_argument("--workers", type=_int_at_least(1),
                         default=None,
                         metavar="N",
-                        help="crawl shared-nothing across N worker "
+                        help="crawl across N supervised worker "
                              "processes (results identical for every "
-                             "N; default: classic serial loop)")
-    survey.add_argument("--scheduler", choices=("shards", "steal"),
-                        default="shards",
-                        help="parallel execution strategy: 'shards' "
-                             "pre-deals units round-robin, 'steal' "
-                             "grants bounded leases on demand with "
-                             "worker supervision and crash recovery "
-                             "(results identical either way)")
+                             "N; default: in-process)")
     survey.add_argument("--lease-size", type=_int_at_least(1),
                         default=4,
                         metavar="K",
-                        help="units per lease for --scheduler steal "
+                        help="units per lease handed to a worker "
                              "(default 4; smaller = finer stealing, "
                              "more dispatch overhead)")
-    survey.add_argument("--max-worker-restarts", type=int, default=4,
+    survey.add_argument("--max-worker-restarts", type=_int_at_least(0),
+                        default=4,
                         metavar="N",
-                        help="replacement workers the steal scheduler "
-                             "may fork across the whole run before "
-                             "giving up (default 4)")
+                        help="replacement workers the scheduler may "
+                             "fork across the whole run before giving "
+                             "up (default 4)")
 
     parking = add("parking", "Table 3 zone scan")
     parking.add_argument("--divisor", type=int, default=5_000,
@@ -302,7 +296,6 @@ def _study(args) -> AcceptableAdsStudy:
             fault_seed=getattr(args, "fault_seed", 0),
             max_retries=getattr(args, "max_retries", 2),
             workers=getattr(args, "workers", None),
-            scheduler=getattr(args, "scheduler", "shards"),
             lease_size=getattr(args, "lease_size", 4),
             max_worker_restarts=getattr(
                 args, "max_worker_restarts", 4)),
@@ -381,10 +374,6 @@ def _cmd_survey(args, out) -> int:
                                          table4_top_filters)
     from repro.reporting.tables import render_crawl_health, render_table
 
-    if (getattr(args, "scheduler", "shards") == "steal"
-            and getattr(args, "workers", None) is None):
-        out.write("error: --scheduler steal requires --workers N\n")
-        return 2
     study = _study(args)
     result = study.site_survey
     head = section51_headline(result.top5k)
@@ -910,7 +899,7 @@ _COMMANDS = {
 #: paths change *how* a run executes, never *what* it computes, so two
 #: invocations differing only in these share a run ID (the property the
 #: cross-worker trace-identity guarantee hangs off).
-_RUN_ID_EXCLUDE = {"workers", "scheduler", "lease_size",
+_RUN_ID_EXCLUDE = {"workers", "lease_size",
                    "max_worker_restarts", "checkpoint", "resume",
                    "metrics_out", "trace", "timeseries_out",
                    "timeseries_interval", "flight_out",

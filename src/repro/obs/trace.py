@@ -7,8 +7,8 @@ survey trace reads like a call tree::
     survey.run
       survey.build_samples
       survey.build_engines        config=easylist+whitelist
-      survey.crawl                group=top-5k config=easylist+whitelist
-        web.crawl.visit           domain=google.com
+      survey.crawl.parallel       config=easylist+whitelist
+        web.crawl.visit           domain=google.com unit=0
         ...
 
 Spans are recorded in *start* order with an explicit ``depth`` and a

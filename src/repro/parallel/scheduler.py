@@ -1,41 +1,72 @@
-"""The supervised work-stealing survey scheduler.
+"""The survey crawl executor: supervised work stealing.
 
-:func:`run_stealing_survey` is the fault-tolerant counterpart of
-:func:`repro.parallel.survey.run_sharded_survey`.  Instead of
-pre-dealing the unit list round-robin (one fixed shard per worker, any
-failure fatal), the parent *dispatches*: it grants bounded *leases*
-(:mod:`repro.parallel.leases`) of the lowest pending unit indices to
-whichever worker is idle; a :class:`~repro.parallel.supervisor.Supervisor`
-watches every worker's wall-clock heartbeat and exit status; and a dead
-or wedged worker forfeits exactly its outstanding lease — the lost
-units are requeued and *stolen* by the survivors while a replacement is
-forked, up to a restart budget.
+:func:`run_stealing_survey` is the one executor of the Section 5 survey
+crawl.  It flattens the sample groups into one globally ordered unit
+list and runs every unit *shared-nothing*:
 
-**Determinism.**  Results stay byte-identical to the round-robin pool —
-and therefore to a one-worker run — for any worker count *and any kill
-schedule*, because every unit executes under the PR-4 shared-nothing
-invariants (derived per-unit rng, fresh breaker, rewound simulated
-clock; see :func:`repro.parallel.survey._crawl_units`) and the parent
-folds results in global unit order.  A unit that dies with its worker
-is simply re-crawled elsewhere: same derivation, same bytes.
+* its backoff jitter comes from an RNG derived purely from
+  ``(fault_seed, "crawl-jitter", domain, rank)`` (see
+  :mod:`repro.parallel.rng`), not from a stream shared with earlier
+  targets;
+* it gets a fresh circuit breaker (survey domains are distinct, so no
+  cross-target breaker state exists to lose);
+* its simulated clock is rewound to zero, so each unit's latency is an
+  exact float sum from ``t=0`` rather than a difference between two
+  large accumulated clock positions;
+* its outcome round-trips through the checkpoint snapshot codec before
+  merging, so a live result and a journal-restored one are the same
+  object shape down to the byte.
+
+With one worker (the survey default) the units run in-process, lease by
+lease; with more, the parent forks workers and *dispatches*: it grants
+bounded *leases* (:mod:`repro.parallel.leases`) of the lowest pending
+unit indices to whichever worker is idle; a
+:class:`~repro.parallel.supervisor.Supervisor` watches every worker's
+wall-clock heartbeat and exit status; and a dead or wedged worker
+forfeits exactly its outstanding lease — the lost units are requeued
+and *stolen* by the survivors while a replacement is forked, up to a
+restart budget.
+
+**Determinism.**  Results are byte-identical for any worker count *and
+any kill schedule*, because every unit executes under the
+shared-nothing invariants above (see :func:`_crawl_units`) and the
+parent folds results in global unit order.  A unit that dies with its
+worker is simply re-crawled elsewhere: same derivation, same bytes.
+
+**Engine sharing.**  The parent's engine is frozen before workers fork,
+so each worker inherits the compiled filter indexes
+(:mod:`repro.filters.compiled`) as read-only copy-on-write pages that
+stay physically shared for the worker's lifetime.
 
 **Quarantine.**  A unit whose execution kills ``poison_threshold``
 workers (default two) is not retried forever: it is *quarantined* as an
 explicit failed outcome with ``error_class="worker-poison"`` —
-mirroring the PR-1 rule that every target yields an outcome, never an
+mirroring the rule that every target yields an outcome, never an
 exception.  Strikes survive parent crashes via the lease log
 (:mod:`repro.state.leaselog`), a supervision side-journal that never
 touches the main checkpoint.
 
-**Streaming + backpressure.**  Workers journal each completed unit to a
-per-incarnation shard journal (the crash-safe PR-3/PR-4 format, adopted
-on resume) and stream it home over the pipe; the parent flushes results
-into the main checkpoint *in global index order* as the frontier
-completes, holding only out-of-order completions in a reorder buffer.
-When the buffer reaches ``max_backlog``, new leases are deferred —
-except the lease containing the flush frontier, so the drain can never
-deadlock.  That bound is what keeps a million-unit run in constant
-parent memory.
+**Streaming + backpressure.**  Forked workers journal each completed
+unit to a per-incarnation *shard journal* (``<checkpoint>.shardNNN``,
+the checkpoint's checksummed format, each record tagged with the unit's
+global index) and stream it home over the pipe; the parent flushes
+results into the main checkpoint *in global index order* as the
+frontier completes, holding only out-of-order completions in a reorder
+buffer.  When the buffer reaches ``max_backlog``, new leases are
+deferred — except the lease containing the flush frontier, so the
+drain can never deadlock.  That bound is what keeps a million-unit run
+in constant parent memory.  A finished checkpoint is indistinguishable
+from an in-process one; on resume, leftover shard journals of a crashed
+run are *adopted* first (:func:`adopt_shard_journals`), so a resume may
+change the worker count freely.
+
+**Metrics and traces.**  Each unit runs under a private
+:class:`~repro.obs.metrics.MetricsRegistry` and a private
+:class:`~repro.obs.trace.Tracer` rooted at the parent's enclosing span
+(deterministic span IDs namespaced by global unit index) and timed on
+the unit's simulated clock.  The parent merges the snapshots and adopts
+the span records in global unit order, so ``--metrics-out`` and
+``--trace`` exports are byte-identical for every worker count.
 
 **Telemetry.**  Lease grants, steals, deaths, timeouts, and quarantines
 describe execution placement, not results, so they never enter the
@@ -48,6 +79,7 @@ byte-identical across kill schedules.
 from __future__ import annotations
 
 import heapq
+import itertools
 import multiprocessing
 import os
 import time
@@ -56,20 +88,24 @@ from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Callable, Sequence
 
-from repro.obs import NULL_TRACER, OBS, ProgressTracker, Tracer
-from repro.parallel.leases import LeaseLedger, generate_leases
-from repro.parallel.supervisor import Supervisor, WorkerCrashInjector
-from repro.parallel.survey import (
-    _crawl_units,
-    adopt_shard_journals,
-    shard_journal_path,
+from repro.obs import (
+    NULL_REGISTRY,
+    NULL_TRACER,
+    OBS,
+    MetricsRegistry,
+    ProgressTracker,
+    Tracer,
 )
+from repro.parallel.leases import LeaseLedger, generate_leases
+from repro.parallel.rng import derive_rng
+from repro.parallel.supervisor import Supervisor, WorkerCrashInjector
 from repro.state.checkpoint import Checkpoint
-from repro.state.journal import RunJournal
+from repro.state.journal import JournalError, RunJournal, replay_journal
 from repro.state.leaselog import (LeaseLog, discard_lease_log,
                                   read_lease_strikes)
 from repro.web.crawler import Crawler, CrawlOutcome, CrawlStatus, CrawlTarget
 from repro.web.crawlstate import restore_outcome, snapshot_outcome, unit_key
+from repro.web.resilience import CircuitBreaker
 
 __all__ = [
     "run_stealing_survey",
@@ -77,6 +113,9 @@ __all__ = [
     "SchedulerError",
     "POISONED_ERROR_CLASS",
     "simulate_steal_makespan",
+    "adopt_shard_journals",
+    "shard_journal_path",
+    "list_shard_journals",
 ]
 
 #: ``CrawlOutcome.error_class`` of a quarantined (poisoned) unit.
@@ -86,6 +125,11 @@ POISONED_ERROR_CLASS = "worker-poison"
 #: wedged.  Generous — real units complete in milliseconds; tests that
 #: inject wedges dial it way down.
 DEFAULT_HEARTBEAT_TIMEOUT = 30.0
+
+#: Purpose label mixed into every derived per-unit rng seed.
+_JITTER_LABEL = "crawl-jitter"
+
+_SHARD_SUFFIX = ".shard"
 
 
 class SchedulerError(RuntimeError):
@@ -138,6 +182,128 @@ class StealStats:
         if self.max_heartbeat_lag_s:
             registry.gauge("parallel.steal.max_heartbeat_lag_ms").set(
                 round(self.max_heartbeat_lag_s * 1000.0, 3))
+
+
+# -- shard journals --------------------------------------------------------
+
+def shard_journal_path(checkpoint_path: str, shard_index: int) -> str:
+    """Where worker incarnation ``shard_index`` journals its units."""
+    return f"{checkpoint_path}{_SHARD_SUFFIX}{shard_index:03d}"
+
+
+def list_shard_journals(checkpoint_path: str) -> list[str]:
+    """Existing shard journal files next to ``checkpoint_path``, sorted."""
+    directory = os.path.dirname(checkpoint_path) or "."
+    prefix = os.path.basename(checkpoint_path) + _SHARD_SUFFIX
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return []
+    return sorted(
+        os.path.join(directory, name) for name in names
+        if name.startswith(prefix) and name[len(prefix):].isdigit())
+
+
+def adopt_shard_journals(checkpoint: Checkpoint, scope: str) -> int:
+    """Fold leftover shard journals from a crashed run into ``checkpoint``.
+
+    Units are adopted in global-index order so the main journal reads
+    exactly as if the crashed run had merged them itself; units the
+    checkpoint already has (the crash hit mid-merge) are skipped.  A
+    shard file is deleted once it holds nothing belonging to another
+    scope; an unreadable (corrupt) shard is discarded — its units are
+    simply re-crawled, deterministically.
+
+    Returns the number of units adopted.
+    """
+    adopted = 0
+    for path in list_shard_journals(checkpoint.path):
+        try:
+            records, _truncated = replay_journal(path)
+        except JournalError:
+            records = []
+        units = [record for record in records
+                 if record.get("kind") == "unit"]
+        mine = sorted((unit for unit in units if unit["scope"] == scope),
+                      key=lambda unit: unit["index"])
+        for unit in mine:
+            if not checkpoint.is_done(scope, unit["key"]):
+                checkpoint.record(scope, unit["key"], unit["payload"])
+                adopted += 1
+        if all(unit["scope"] == scope for unit in units):
+            os.remove(path)
+    if adopted:
+        checkpoint.sync()
+    return adopted
+
+
+# -- per-unit shared-nothing execution -------------------------------------
+
+def _crawl_units(crawler: Crawler,
+                 units: Sequence[tuple[int, str, CrawlTarget]],
+                 *, jitter_seed: int, collect_metrics: bool,
+                 collect_spans: bool, trace_context: tuple[str, int],
+                 record_unit: Callable[[int, str, dict], None]) -> list:
+    """Crawl ``units`` shared-nothing; return mergeable result tuples.
+
+    Each returned tuple is ``(index, key, payload, metrics, spans)``
+    where ``payload`` is the checkpoint unit payload, ``metrics`` is
+    the unit's registry snapshot (``None`` with metrics off), and
+    ``spans`` is the unit's span-record shard (``None`` with tracing
+    off).
+
+    ``trace_context`` is ``(parent_span_id, depth)`` of the parent
+    process's enclosing span: each unit's private tracer is rooted
+    there, with the unit's global index as its root ordinal namespace,
+    so its span IDs come out identical no matter which worker runs it.
+    """
+    from repro.obs.export import span_records
+
+    trace_parent, trace_depth = trace_context
+    results = []
+    for index, group_name, target in units:
+        rng = derive_rng(jitter_seed, _JITTER_LABEL, target.domain,
+                         target.rank)
+        breaker = CircuitBreaker()
+        # Latencies are clock *deltas*; rewinding to zero per unit makes
+        # them exact sums from t=0, independent of what earlier units on
+        # this worker consumed (float addition is not associative).
+        crawler.clock.rewind()
+        metrics = None
+        spans = None
+        if OBS.enabled:
+            previous = (OBS.registry, OBS.tracer, OBS.enabled)
+            registry = MetricsRegistry() if collect_metrics else NULL_REGISTRY
+            # The unit tracer runs on the unit's simulated clock: its
+            # readings (and so the exported spans) are deterministic,
+            # unlike wall time, which is what byte-identity across
+            # worker counts requires.
+            tracer = (Tracer(clock=crawler.clock.now,
+                             root_parent_id=trace_parent,
+                             root_depth=trace_depth,
+                             root_ordinal_ns=f"{index}:")
+                      if collect_spans else NULL_TRACER)
+            OBS.registry = registry
+            OBS.tracer = tracer
+            OBS.enabled = registry.enabled or tracer.enabled
+            try:
+                outcome = crawler.visit_target(target, rng=rng,
+                                               breaker=breaker,
+                                               unit=index)
+            finally:
+                OBS.registry, OBS.tracer, OBS.enabled = previous
+            if collect_metrics:
+                metrics = registry.snapshot()
+            if collect_spans:
+                spans = span_records(tracer)
+        else:
+            outcome = crawler.visit_target(target, rng=rng, breaker=breaker)
+        key = unit_key(group_name, target)
+        payload = {"group": group_name,
+                   "outcome": snapshot_outcome(outcome)}
+        record_unit(index, key, payload)
+        results.append((index, key, payload, metrics, spans))
+    return results
 
 
 # -- the deterministic makespan model --------------------------------------
@@ -213,8 +379,7 @@ def _poisoned_payload(group_name: str, target: CrawlTarget, *,
                            attempts=threshold, latency_ms=0.0)
     return unit_key(group_name, target), {
         "group": group_name,
-        "outcome": snapshot_outcome(outcome),
-        "state": {}}
+        "outcome": snapshot_outcome(outcome)}
 
 
 def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
@@ -232,13 +397,18 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
                         ) -> dict[str, list[CrawlOutcome]]:
     """Crawl ``groups`` under the supervised work-stealing scheduler.
 
-    Same contract as
-    :func:`~repro.parallel.survey.run_sharded_survey` — byte-identical
-    outcomes for every ``workers`` value, checkpoint resume across
-    worker counts *and across schedulers* — plus fault tolerance: a
-    worker death or wedge costs only time, and a unit that kills
-    ``poison_threshold`` workers is retired as an explicit ``failed``
-    outcome instead of retried forever.
+    ``crawler_factory`` must build an equivalent crawler on every call
+    (each forked worker constructs its own); ``jitter_seed`` roots the
+    per-unit rng derivation and should be the survey's ``fault_seed``.
+    ``workers=1`` runs every unit in-process; more fork that many
+    supervised workers.  With a ``checkpoint``, completed units are
+    restored instead of re-crawled and new ones are journaled
+    crash-safely (see module docstring).  Returns outcomes per group,
+    in target order — byte-identical for every ``workers`` value, with
+    checkpoint resume across worker counts.  A worker death or wedge
+    costs only time, and a unit that kills ``poison_threshold`` workers
+    is retired as an explicit ``failed`` outcome instead of retried
+    forever.
 
     ``crash_injector`` deterministically kills or wedges workers (the
     test/benchmark harness); it only acts on the forked path.
@@ -332,14 +502,25 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
         """The lowest not-yet-flushed global index."""
         return pending[cursor] if cursor < len(pending) else None
 
+    # Units the crashed run already condemned start condemned: strikes
+    # live in the synced lease log, so a poison unit never gets to kill
+    # two fresh workers per resume.
+    pre_quarantined = sorted(
+        index for index in pending
+        if index in seeded_quarantine
+        or strikes.get(index, 0) >= poison_threshold)
+    condemned = set(pre_quarantined)
+    grantable = [index for index in pending if index not in condemned]
+    forked = (workers > 1 and len(grantable) > 1
+              and "fork" in multiprocessing.get_all_start_methods())
+
+    # Only forked workers can die, so only a forked run journals
+    # supervision events.  An in-process run leaves a crashed
+    # predecessor's lease log as it is (its strikes still count if this
+    # run crashes too) and discards it on a clean finish.
     lease_log: LeaseLog | None = None
-    if checkpoint_path is not None:
-        if pending:
-            lease_log = LeaseLog.start(checkpoint_path, scope)
-        else:
-            # Everything restored: nothing to supervise, but a crashed
-            # predecessor may have left its (now pointless) lease log.
-            discard_lease_log(checkpoint_path, scope)
+    if checkpoint_path is not None and forked:
+        lease_log = LeaseLog.start(checkpoint_path, scope)
 
     def quarantine(index: int) -> None:
         _, group_name, target = unit_by_index[index]
@@ -352,23 +533,13 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
         if lease_log is not None:
             lease_log.quarantine(index)
 
-    # Units the crashed run already condemned start condemned: strikes
-    # live in the synced lease log, so a poison unit never gets to kill
-    # two fresh workers per resume.
-    pre_quarantined = sorted(
-        index for index in pending
-        if index in seeded_quarantine
-        or strikes.get(index, 0) >= poison_threshold)
     for index in pre_quarantined:
         quarantine(index)
 
-    grantable = [index for index in pending
-                 if index not in set(pre_quarantined)]
-    fork_usable = "fork" in multiprocessing.get_all_start_methods()
-
-    # -- inline fallback ---------------------------------------------------
+    # -- in-process mode ---------------------------------------------------
     def run_inline() -> None:
-        """One worker (or no fork support): leases run in-process.
+        """One worker (the survey default) or no fork support: leases
+        run in-process, journaling straight into the checkpoint.
 
         Same flush path as the forked scheduler, so the checkpoint
         journal, metric merge order, and adopted trace — and therefore
@@ -376,6 +547,8 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
         including 1.
         """
         crawler = crawler_factory()
+        group_ends = {end - 1 for end in itertools.accumulate(
+            len(group.targets) for group in groups)}
         for lease in generate_leases(grantable, lease_size):
             stats.leases_granted += 1
             results = _crawl_units(
@@ -388,8 +561,9 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
                 buffer[index] = (key, payload, metrics, spans)
                 stats.units_crawled += 1
             flush()
-            if checkpoint is not None:
-                checkpoint.sync()  # durability barrier once per lease
+            if checkpoint is not None and not group_ends.isdisjoint(
+                    lease.indices):
+                checkpoint.sync()  # durability barrier once per group
 
     # -- forked worker entry (inherited by fork, never pickled) -----------
     def worker_entry(slot: int, incarnation: int, conn) -> None:
@@ -625,14 +799,14 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
     try:
         if not grantable:
             flush()  # restored and pre-quarantined units only
-        elif workers == 1 or len(grantable) == 1 or not fork_usable:
+        elif not forked:
             run_inline()
             flush()
         else:
             supervisor = run_forked()
             # A clean finish leaves no supervision residue: every unit
             # in the per-incarnation shard journals was flushed into
-            # the checkpoint, exactly like the round-robin pool's.
+            # the checkpoint, exactly like an in-process run's.
             if checkpoint_path is not None:
                 for incarnation in range(supervisor.incarnations_spawned):
                     path = shard_journal_path(checkpoint_path, incarnation)
@@ -650,6 +824,8 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
         checkpoint.sync()
     if lease_log is not None:
         lease_log.remove()
+    elif checkpoint_path is not None:
+        discard_lease_log(checkpoint_path, scope)
     stats.publish()
 
     outcomes_by_group: dict[str, list[CrawlOutcome]] = {

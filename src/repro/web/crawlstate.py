@@ -2,14 +2,11 @@
 
 This module is the bridge between :mod:`repro.web.crawler` and
 :mod:`repro.state`: it knows how to flatten one completed
-:class:`~repro.web.crawler.CrawlOutcome` — plus the crawler's mutable
-cross-visit state — into the JSON payload of a journal record, and how
-to rebuild both on ``--resume`` so the continued run is
-*byte-identical* to an uninterrupted one.
+:class:`~repro.web.crawler.CrawlOutcome` into the JSON payload of a
+journal record, and how to rebuild it on ``--resume`` so the continued
+run is *byte-identical* to an uninterrupted one.
 
-Two kinds of payload live in a survey journal record:
-
-**The outcome snapshot** captures everything downstream consumers
+The outcome snapshot captures everything downstream consumers
 (Table 4, Figures 6–8, the crawl-health table) read from an outcome.
 Request decisions are stored as their verdict alone and hidden
 elements as detached ``(tag, attributes, text, ad_label)`` nodes: the
@@ -17,46 +14,27 @@ blocking/exception filter objects and DOM tree links they drop are
 never consulted after the visit returns, and carrying live filter
 references would tie the journal to engine internals.
 
-**The crawler state snapshot** captures what the *next* visit depends
-on: the simulated clock, per-domain flaky countdowns, circuit-breaker
-states, and the backoff rng.  The rng's Mersenne state is ~6 KB, but
-it only advances when a retry actually sleeps, so it is journaled
-*on change only* — :func:`merge_states` folds a run's snapshots into
-the cumulative state that :func:`restore_crawler_state` applies.
-
-The browser cookie jar needs no explicit snapshot: failing attempts
-never reach the browser (see :meth:`repro.web.faults.FaultInjector.run`),
-so the set of visited domains is exactly the domains of outcomes that
-carry a record, which :func:`journaled_survey` replays.
+No crawler state is journaled: the survey executor
+(:mod:`repro.parallel.scheduler`) runs every unit shared-nothing, so
+no visit depends on what an earlier one left behind.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 from repro.filters.engine import Activation, RequestDecision, Verdict
-from repro.state.checkpoint import Checkpoint, restore_rng, snapshot_rng
 from repro.web.crawler import (
-    Crawler,
     CrawlOutcome,
     CrawlRecord,
     CrawlStatus,
     CrawlTarget,
 )
 from repro.web.dom import Element
-from repro.web.resilience import BreakerState
 from repro.web.sites import SiteProfile
 
 __all__ = [
     "snapshot_outcome",
     "restore_outcome",
-    "snapshot_rng",
-    "restore_rng",
-    "snapshot_crawler_state",
-    "restore_crawler_state",
-    "merge_states",
     "unit_key",
-    "journaled_survey",
 ]
 
 
@@ -182,140 +160,12 @@ def restore_outcome(data: dict) -> CrawlOutcome:
     )
 
 
-# -- crawler state snapshots ----------------------------------------------
-
-def snapshot_crawler_state(crawler: Crawler,
-                           last_rng: list | None) -> tuple[dict, list]:
-    """The crawler's cross-visit state after one completed unit.
-
-    Returns ``(state, rng_state)``: ``state`` is the journal payload
-    (with ``"rng"`` present only when it differs from ``last_rng``);
-    ``rng_state`` is the current serialized rng for the next call's
-    ``last_rng``.
-    """
-    state: dict = {"clock": crawler.clock.now()}
-    if crawler.injector is not None and crawler.injector._flaky_left:
-        state["flaky"] = dict(crawler.injector._flaky_left)
-    breakers = {
-        domain: {"state": breaker.state.value,
-                 "consecutive_failures": breaker.consecutive_failures,
-                 "opened_at": breaker.opened_at,
-                 "open_count": breaker.open_count}
-        for domain, breaker in crawler.breakers._breakers.items()
-        if (breaker.state is not BreakerState.CLOSED
-            or breaker.consecutive_failures or breaker.open_count)
-    }
-    if breakers:
-        state["breakers"] = breakers
-    rng_state = snapshot_rng(crawler.rng)
-    if rng_state != last_rng:
-        state["rng"] = rng_state
-    return state, rng_state
-
-
-def merge_states(states) -> dict:
-    """Fold per-unit state snapshots (oldest first) into one.
-
-    ``clock``/``flaky``/``breakers`` are cumulative (each snapshot
-    carries the full current value) so the last occurrence wins;
-    ``rng`` is journaled on change, so the last snapshot that carried
-    one wins.
-    """
-    merged: dict = {}
-    for state in states:
-        merged.update(state)
-    return merged
-
-
-def restore_crawler_state(crawler: Crawler, state: dict) -> None:
-    """Apply a merged state snapshot to a freshly constructed crawler."""
-    if not state:
-        return
-    clock = state.get("clock")
-    if clock is not None:
-        delta = clock - crawler.clock.now()
-        if delta > 0:
-            crawler.clock.advance(delta)
-    if crawler.injector is not None:
-        crawler.injector._flaky_left.clear()
-        crawler.injector._flaky_left.update(state.get("flaky", {}))
-    for domain, saved in state.get("breakers", {}).items():
-        breaker = crawler.breakers.get(domain)
-        breaker.state = BreakerState(saved["state"])
-        breaker.consecutive_failures = saved["consecutive_failures"]
-        breaker.opened_at = saved["opened_at"]
-        breaker.open_count = saved["open_count"]
-    if "rng" in state:
-        restore_rng(crawler.rng, state["rng"])
-
-
-# -- the journaled survey loop --------------------------------------------
+# -- journal keys ---------------------------------------------------------
 
 def unit_key(group_name: str, target: CrawlTarget) -> str:
     """The journal key identifying one (group, target) unit of work.
 
-    Shared with :mod:`repro.parallel.survey` so serial and sharded
-    executors write interchangeable checkpoint records — which is what
-    lets ``--resume`` move between them and across worker counts.
+    Independent of which worker crawled the unit, which is what lets
+    ``--resume`` move across worker counts.
     """
     return f"{group_name}/{target.domain}#{target.rank}"
-
-
-#: Backwards-compatible alias (pre-parallel internal name).
-_unit_key = unit_key
-
-
-def journaled_survey(crawler: Crawler, groups, *,
-                     checkpoint: Checkpoint, scope: str,
-                     scope_config: dict | None = None,
-                     span_factory=None) -> dict[str, list[CrawlOutcome]]:
-    """Crawl ``groups`` under ``checkpoint``, resuming completed units.
-
-    ``groups`` is the survey's ordered :class:`SampleGroup` list; the
-    returned dict maps group name to outcomes in target order.  Units
-    already journaled under ``scope`` are restored instead of
-    re-crawled, the crawler's mutable state is rewound to the last
-    journaled unit, and every newly crawled target is journaled before
-    the loop moves on.  ``span_factory(group_name)`` optionally opens a
-    tracing span per group of *live* crawling (resumed groups are
-    skipped entirely, so they add no spans).
-    """
-    done = checkpoint.begin_scope(scope, scope_config)
-    outcomes_by_group: dict[str, list[CrawlOutcome]] = {
-        group.name: [] for group in groups}
-    done_keys = set()
-    for key, payload in done:
-        done_keys.add(key)
-        outcome = restore_outcome(payload["outcome"])
-        outcomes_by_group[payload["group"]].append(outcome)
-        if outcome.record is not None:
-            crawler.browser._visited_domains.add(outcome.domain)
-    restore_crawler_state(
-        crawler, merge_states(payload["state"] for _, payload in done))
-    last_rng = snapshot_rng(crawler.rng)
-    from repro.obs import OBS, ProgressTracker
-    progress = (ProgressTracker(
-        scope, sum(len(group.targets) for group in groups),
-        done=len(done_keys))
-        if OBS.registry.enabled or OBS.timeseries.enabled else None)
-    for group in groups:
-        pending = [target for target in group.targets
-                   if unit_key(group.name, target) not in done_keys]
-        if not pending:
-            continue
-        span = (span_factory(group.name) if span_factory is not None
-                else nullcontext())
-        with span:
-            for target in pending:
-                outcome = crawler.visit_target(target)
-                state, last_rng = snapshot_crawler_state(crawler, last_rng)
-                checkpoint.record(
-                    scope, unit_key(group.name, target),
-                    {"group": group.name,
-                     "outcome": snapshot_outcome(outcome),
-                     "state": state})
-                outcomes_by_group[group.name].append(outcome)
-                if progress is not None:
-                    progress.step(outcome.latency_ms)
-        checkpoint.sync()
-    return outcomes_by_group

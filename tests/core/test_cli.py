@@ -42,10 +42,12 @@ class TestParser:
         (["survey", "--workers", "0"], "--workers"),
         (["survey", "--max-retries", "-1"], "--max-retries"),
         (["survey", "--top", "0"], "--top"),
-        (["survey", "--workers", "2", "--scheduler", "steal",
-          "--lease-size", "0"], "--lease-size"),
+        (["survey", "--workers", "2", "--lease-size", "0"],
+         "--lease-size"),
         (["serve", "--max-inflight", "0"], "--max-inflight"),
         (["serve", "--max-queue", "-1"], "--max-queue"),
+        (["survey", "--max-worker-restarts", "-1"],
+         "--max-worker-restarts"),
     ])
     def test_out_of_range_values_are_usage_errors(self, argv, option,
                                                   capsys):

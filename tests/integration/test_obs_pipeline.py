@@ -126,7 +126,7 @@ class TestTraceFile:
         assert spans[0]["depth"] == 0
         names = {s["name"] for s in spans}
         assert {"survey.build_samples", "survey.build_engines",
-                "survey.crawl", "web.crawl.visit"} <= names
+                "survey.crawl.parallel", "web.crawl.visit"} <= names
         # Depth never jumps by more than one between consecutive spans
         # (start-order + depth is enough to rebuild the tree).
         depths = [s["depth"] for s in spans]

@@ -19,8 +19,8 @@ from repro.measurement.stats import section51_headline
 from repro.measurement.survey import SurveyConfig, run_survey
 from repro.obs import (JsonLinesExporter, MetricsRegistry, Tracer, observe,
                        span_records)
+from repro.parallel.scheduler import list_shard_journals
 from repro.parallel.supervisor import WorkerCrashInjector
-from repro.parallel.survey import list_shard_journals
 from repro.reporting.tables import render_crawl_health
 from repro.state import Checkpoint, CheckpointError, lease_log_path
 from repro.state.crashpoints import CrashInjector, SimulatedCrash, crashing
@@ -31,13 +31,8 @@ from repro.web.crawlstate import snapshot_outcome
 _BASE = dict(top_n=20, stratum_size=5, fault_rate=0.3, fault_seed=7)
 
 
-def _config(workers):
-    return SurveyConfig(**_BASE, workers=workers)
-
-
-def _steal_config(workers, **overrides):
-    return SurveyConfig(**_BASE, workers=workers, scheduler="steal",
-                        **overrides)
+def _config(workers, **overrides):
+    return SurveyConfig(**_BASE, workers=workers, **overrides)
 
 
 def _canonical(result) -> str:
@@ -69,9 +64,17 @@ class TestWorkerCountInvariance:
         assert _canonical(run_survey(history, _config(workers))) == \
             one_worker_baseline
 
+    def test_default_run_matches_workers(self, history,
+                                         one_worker_baseline):
+        """The default (``workers=None``) in-process run draws jitter
+        per unit too, so even with faults it equals every worker
+        count."""
+        assert _canonical(run_survey(history, SurveyConfig(**_BASE))) == \
+            one_worker_baseline
+
     def test_zero_fault_pool_matches_legacy_serial(self, history):
-        """With no faults there is no jitter to draw, so the pool and the
-        classic serial loop agree exactly."""
+        """With no faults the default in-process run and a forked one
+        agree exactly."""
         legacy = SurveyConfig(top_n=20, stratum_size=5, fault_rate=0.0)
         pooled = SurveyConfig(top_n=20, stratum_size=5, fault_rate=0.0,
                               workers=4)
@@ -111,7 +114,7 @@ class TestWorkerCountInvariance:
 
 
 class TestTraceWorkerInvariance:
-    """Pool mode keeps per-visit spans, and the merged trace is
+    """Forked runs keep per-visit spans, and the merged trace is
     byte-identical for every worker count.
 
     Unit spans are timed on the per-unit simulated clock (deterministic
@@ -161,6 +164,10 @@ class TestTraceWorkerInvariance:
 
 class TestResumeAcrossWorkerCounts:
     def _crash(self, history, path, at_step, workers):
+        """Crash the parent at its ``at_step``-th journal append.  A
+        forked run (``workers >= 2``) leaves its workers' shard
+        journals behind; an in-process one journals straight into the
+        checkpoint."""
         checkpoint = Checkpoint.start(path)
         try:
             with crashing(CrashInjector(at_step=at_step)):
@@ -173,9 +180,9 @@ class TestResumeAcrossWorkerCounts:
     @pytest.mark.parametrize("at_step", [10, 50])
     def test_resume_with_more_workers_identical(
             self, history, one_worker_baseline, tmp_path, at_step):
-        """Crash a one-worker run mid-shard, finish it with eight."""
+        """Crash a two-worker run mid-flight, finish it with eight."""
         path = str(tmp_path / "run.ckpt")
-        self._crash(history, path, at_step, workers=1)
+        self._crash(history, path, at_step, workers=2)
         # The crash interrupted shard journaling, so a leftover shard
         # file must exist for the resume to adopt.
         assert list_shard_journals(path)
@@ -213,8 +220,8 @@ class TestResumeAcrossWorkerCounts:
     def test_corrupt_shard_journal_is_discarded_and_recrawled(
             self, history, one_worker_baseline, tmp_path):
         path = str(tmp_path / "run.ckpt")
-        self._crash(history, path, at_step=10, workers=1)
-        shard_path, = list_shard_journals(path)
+        self._crash(history, path, at_step=10, workers=2)
+        shard_path = list_shard_journals(path)[0]
         with open(shard_path, "wb") as handle:
             handle.write(b"\x00 garbage, not a journal \x00")
         resumed = Checkpoint.resume(path)
@@ -225,43 +232,47 @@ class TestResumeAcrossWorkerCounts:
         assert _canonical(result) == one_worker_baseline
         assert not os.path.exists(shard_path)
 
-    def test_pool_and_legacy_checkpoints_do_not_cross_resume(
-            self, history, tmp_path):
-        """Serial and shared-nothing runs draw jitter differently, so a
-        checkpoint from one must not silently continue as the other."""
+    def test_serial_scope_refused(self, history, tmp_path):
+        """A scope begun by the retired serial loop (whose fingerprint
+        had no ``execution`` key) drew jitter from one shared rng, so
+        it must not silently continue per-unit."""
         path = str(tmp_path / "run.ckpt")
-        self._crash(history, path, at_step=10, workers=1)
+        checkpoint = Checkpoint.start(path)
+        checkpoint.begin_scope("survey/easylist+whitelist", {
+            "engine_config": "easylist+whitelist", "top_n": 20,
+            "stratum_size": 5, "with_whitelist": True,
+            "fault_rate": 0.3, "fault_seed": 7, "max_retries": 2})
+        checkpoint.close()
         resumed = Checkpoint.resume(path)
-        legacy = SurveyConfig(**_BASE)  # workers=None: classic serial
         try:
             with pytest.raises(CheckpointError, match="not be comparable"):
-                run_survey(history, legacy, checkpoint=resumed)
+                run_survey(history, SurveyConfig(**_BASE),
+                           checkpoint=resumed)
         finally:
             resumed.close()
 
 
 class TestStealSchedulerInvariance:
-    """The work-stealing scheduler is an interchangeable executor: its
-    results, exports, and finished checkpoints are byte-identical to
-    the round-robin pool's — for any worker count, lease size, and
-    deterministic kill schedule."""
+    """The work-stealing scheduler's results, exports, and finished
+    checkpoints are byte-identical to a one-worker run's — for any
+    worker count, lease size, and deterministic kill schedule."""
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_output_byte_identical(self, history, one_worker_baseline,
                                    workers):
-        assert _canonical(run_survey(history, _steal_config(workers))) \
+        assert _canonical(run_survey(history, _config(workers))) \
             == one_worker_baseline
 
     def test_lease_size_is_an_execution_detail(self, history,
                                                one_worker_baseline):
         assert _canonical(run_survey(
-            history, _steal_config(3, lease_size=1))) == one_worker_baseline
+            history, _config(3, lease_size=1))) == one_worker_baseline
 
     def test_kill_schedule_is_invisible_in_results(
             self, history, one_worker_baseline):
         injector = WorkerCrashInjector(kill_after={0: 2, 2: 5})
         assert _canonical(run_survey(
-            history, _steal_config(4, steal_crash_injector=injector))) \
+            history, _config(4, steal_crash_injector=injector))) \
             == one_worker_baseline
 
     def test_unknown_scheduler_rejected(self, history):
@@ -284,9 +295,9 @@ class TestStealSchedulerInvariance:
             with open(path, "rb") as handle:
                 return handle.read()
 
-        reference = journal_bytes(_config(1), "shards-w1.ckpt")
-        assert journal_bytes(_steal_config(3), "steal-w3.ckpt") == reference
-        killed = _steal_config(
+        reference = journal_bytes(_config(1), "w1.ckpt")
+        assert journal_bytes(_config(3), "steal-w3.ckpt") == reference
+        killed = _config(
             3, steal_crash_injector=WorkerCrashInjector(kill_after={1: 2}))
         assert journal_bytes(killed, "steal-w3-kill.ckpt") == reference
 
@@ -300,10 +311,10 @@ class TestStealSchedulerInvariance:
             with open(path, "rb") as handle:
                 return handle.read()
 
-        reference = export(_config(1), "shards-w1.jsonl")
-        killed = _steal_config(
+        reference = export(_config(1), "w1.jsonl")
+        killed = _config(
             3, steal_crash_injector=WorkerCrashInjector(kill_after={0: 3}))
-        assert export(_steal_config(3), "steal-w3.jsonl") == reference
+        assert export(_config(3), "steal-w3.jsonl") == reference
         assert export(killed, "steal-w3-kill.jsonl") == reference
 
     def test_trace_export_byte_identical_across_schedulers(
@@ -318,10 +329,10 @@ class TestStealSchedulerInvariance:
             with open(path, "rb") as handle:
                 return handle.read()
 
-        reference = trace_bytes(_config(1), "shards-w1.jsonl")
-        killed = _steal_config(
+        reference = trace_bytes(_config(1), "w1.jsonl")
+        killed = _config(
             3, steal_crash_injector=WorkerCrashInjector(kill_after={1: 4}))
-        assert trace_bytes(_steal_config(3), "steal-w3.jsonl") == reference
+        assert trace_bytes(_config(3), "steal-w3.jsonl") == reference
         assert trace_bytes(killed, "steal-w3-kill.jsonl") == reference
 
 
@@ -334,7 +345,7 @@ class TestStealResume:
         try:
             with crashing(CrashInjector(at_step=at_step)):
                 with pytest.raises(SimulatedCrash):
-                    run_survey(history, _steal_config(workers),
+                    run_survey(history, _config(workers),
                                checkpoint=checkpoint)
         finally:
             checkpoint.close()
@@ -349,7 +360,7 @@ class TestStealResume:
         assert os.path.exists(lease_log_path(path))
         resumed = Checkpoint.resume(path)
         try:
-            result = run_survey(history, _steal_config(8),
+            result = run_survey(history, _config(8),
                                 checkpoint=resumed)
         finally:
             resumed.close()
@@ -357,40 +368,35 @@ class TestStealResume:
         assert list_shard_journals(path) == []
         assert not os.path.exists(lease_log_path(path))
 
-    def test_shards_crash_finishes_under_steal(self, history,
-                                               one_worker_baseline,
-                                               tmp_path):
-        """Both executors share one fingerprint, so a checkpoint can
-        switch scheduler mid-run — and the journal still comes out
-        byte-identical to an uninterrupted run."""
-        uninterrupted = str(tmp_path / "base.ckpt")
-        checkpoint = Checkpoint.start(uninterrupted)
+    def test_in_process_crash_leaves_no_supervision_residue(
+            self, history, one_worker_baseline, tmp_path):
+        """Only a forked worker can die, so an in-process run keeps no
+        lease log, even when the run itself crashes."""
+        path = str(tmp_path / "inline.ckpt")
+        self._crash_steal(history, path, at_step=12, workers=1)
+        assert list_shard_journals(path) == []
+        assert not os.path.exists(lease_log_path(path))
+        resumed = Checkpoint.resume(path)
         try:
-            run_survey(history, _steal_config(2), checkpoint=checkpoint)
-        finally:
-            checkpoint.close()
-
-        crashed = str(tmp_path / "crossed.ckpt")
-        checkpoint = Checkpoint.start(crashed)
-        try:
-            with crashing(CrashInjector(at_step=10)):
-                with pytest.raises(SimulatedCrash):
-                    run_survey(history, _config(1),
-                               checkpoint=checkpoint)
-        finally:
-            checkpoint.close()
-        resumed = Checkpoint.resume(crashed)
-        try:
-            result = run_survey(history, _steal_config(2),
-                                checkpoint=resumed)
+            result = run_survey(history, _config(1), checkpoint=resumed)
         finally:
             resumed.close()
         assert _canonical(result) == one_worker_baseline
-        with open(uninterrupted, "rb") as handle:
-            expected = handle.read()
-        with open(crashed, "rb") as handle:
-            assert handle.read() == expected
+        assert not os.path.exists(lease_log_path(path))
 
+    def test_in_process_resume_clears_forked_lease_log(
+            self, history, one_worker_baseline, tmp_path):
+        path = str(tmp_path / "steal.ckpt")
+        self._crash_steal(history, path, at_step=12, workers=3)
+        assert os.path.exists(lease_log_path(path))
+        resumed = Checkpoint.resume(path)
+        try:
+            result = run_survey(history, _config(1), checkpoint=resumed)
+        finally:
+            resumed.close()
+        assert _canonical(result) == one_worker_baseline
+        assert list_shard_journals(path) == []
+        assert not os.path.exists(lease_log_path(path))
 
 class TestCliWorkers:
     ARGS = ("survey", "--fast", "--top", "20", "--stratum", "5",
@@ -427,23 +433,8 @@ class TestCliStealScheduler:
     def test_steal_flag_output_identical(self):
         serial = self._run(*self.ARGS, "--workers", "1")
         stolen = self._run(*self.ARGS, "--workers", "4",
-                           "--scheduler", "steal", "--lease-size", "2")
+                           "--lease-size", "2")
         assert stolen == serial
-
-    def test_steal_requires_workers(self):
-        out = io.StringIO()
-        code = main(list(self.ARGS) + ["--scheduler", "steal"], out=out)
-        assert code == 2
-        assert "--scheduler steal requires --workers" in out.getvalue()
-
-    def test_cross_scheduler_cli_resume(self, tmp_path):
-        path = str(tmp_path / "cli.ckpt")
-        first = self._run(*self.ARGS, "--workers", "2",
-                          "--checkpoint", path)
-        resumed = self._run(*self.ARGS, "--workers", "4",
-                            "--scheduler", "steal",
-                            "--checkpoint", path, "--resume")
-        assert resumed == f"resuming from checkpoint {path}\n" + first
 
     def test_run_id_ignores_scheduler_placement(self, tmp_path):
         """Two invocations differing only in execution placement share
@@ -454,7 +445,6 @@ class TestCliStealScheduler:
             return path.read_bytes()
 
         assert metrics_bytes("steal.jsonl", "--workers", "4",
-                             "--scheduler", "steal",
                              "--lease-size", "3",
                              "--max-worker-restarts", "9") == \
-            metrics_bytes("shards.jsonl", "--workers", "1")
+            metrics_bytes("w1.jsonl", "--workers", "1")

@@ -3,8 +3,8 @@
 Two contracts from the telemetry plane's acceptance criteria:
 
 * the simulated-clock time-series export is **byte-identical at any
-  worker count and under either scheduler** (tick boundaries are a pure
-  function of the workload, accumulated in global unit order);
+  worker count and lease size** (tick boundaries are a pure function of
+  the workload, accumulated in global unit order);
 * turning telemetry on changes *nothing* about the survey's own
   artifacts — the ``--metrics-out`` export is byte-identical with and
   without ``--timeseries-out``/``--flight-out`` riding along.
@@ -82,7 +82,7 @@ class TestTimeseriesByteIdentity:
                                                       workers):
         ts, metrics = survey_with_telemetry(
             tmp, f"steal{workers}", "--workers", workers,
-            "--scheduler", "steal")
+            "--lease-size", "2")
         assert ts == baseline[0]
         assert metrics == baseline[1]
 
