@@ -63,6 +63,17 @@ def _fraction(text: str) -> float:
 _fraction.__name__ = "float"
 
 
+def _positive_float(text: str) -> float:
+    """argparse ``type`` for a float strictly above zero."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=2015)
@@ -81,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "sample per tick) to size-rotated JSONL "
                              "segments PATH.000, PATH.001, ...; watch "
                              "live with 'repro obs watch PATH'")
-    common.add_argument("--timeseries-interval", type=float, default=1.0,
+    common.add_argument("--timeseries-interval", type=_positive_float,
+                        default=1.0,
                         metavar="SECONDS",
                         help="seconds between time-series samples "
                              "(simulated seconds for survey/history "
@@ -95,14 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="flight-recorder ring capacity "
                              "(default 2048)")
-    common.add_argument("--checkpoint", metavar="PATH", default=None,
-                        help="journal completed units of work (history "
-                             "revisions, crawled targets) to PATH so a "
-                             "crashed run can be resumed")
-    common.add_argument("--resume", action="store_true",
-                        help="resume from an existing --checkpoint "
-                             "journal instead of starting over (safe "
-                             "when the journal does not exist yet)")
 
     parser = argparse.ArgumentParser(
         prog="repro", parents=[common],
@@ -121,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     survey = add("survey", "Section 5 site survey (scaled)")
     survey.add_argument("--top", type=_int_at_least(1), default=800,
                         help="size of the top group (paper: 5000)")
-    survey.add_argument("--stratum", type=int, default=150,
+    survey.add_argument("--stratum", type=_int_at_least(0), default=150,
                         help="per-stratum sample size (paper: 1000)")
     survey.add_argument("--fault-rate", type=_fraction, default=0.0,
                         help="fraction of domains given an injected "
@@ -150,13 +154,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replacement workers the scheduler may "
                              "fork across the whole run before giving "
                              "up (default 4)")
+    survey.add_argument("--checkpoint", metavar="PATH", default=None,
+                        help="journal crawled targets to PATH so a "
+                             "crashed survey can be resumed")
+    survey.add_argument("--resume", action="store_true",
+                        help="resume from an existing --checkpoint "
+                             "journal instead of starting over (safe "
+                             "when the journal does not exist yet)")
 
     parking = add("parking", "Table 3 zone scan")
-    parking.add_argument("--divisor", type=int, default=5_000,
+    parking.add_argument("--divisor", type=_int_at_least(1), default=5_000,
                          help="zone scale divisor")
 
     exploit = add("exploit", "Figure 5 sitekey bypass")
-    exploit.add_argument("--bits", type=int, default=64,
+    exploit.add_argument("--bits", type=_int_at_least(16), default=64,
                          help="weak-key size to factor")
 
     add("perception", "Figure 9 perception summary")
@@ -166,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     temporal = add("temporal",
                    "survey under historical whitelist snapshots")
-    temporal.add_argument("--top", type=int, default=300)
+    temporal.add_argument("--top", type=_int_at_least(1), default=300)
 
     blockable = add("blockable", "Blockable Items panel for one domain")
     blockable.add_argument("domain")
@@ -916,12 +927,13 @@ def _derive_run_id(args) -> str:
 
 
 def _open_checkpoint(args, out):
-    """Create or resume the run's checkpoint from the CLI flags.
+    """Create or resume the survey's checkpoint from its CLI flags.
 
     Returns ``(checkpoint, status)``: a usable checkpoint (or ``None``
-    when none was requested) and a non-zero status on refusal — an
-    unsafe resume (journal from a different command/seed, mid-file
-    corruption) aborts the run instead of quietly starting over.
+    when none was requested — always, for commands other than
+    ``survey``) and a non-zero status on refusal — an unsafe resume
+    (journal from a different command/seed, mid-file corruption)
+    aborts the run instead of quietly starting over.
     """
     path = getattr(args, "checkpoint", None)
     if not path:
@@ -931,6 +943,8 @@ def _open_checkpoint(args, out):
         return None, 0
     from repro.state import Checkpoint, CheckpointError
 
+    # "command" is always "survey"; it stays so that checkpoints
+    # written when every command took --checkpoint still match.
     meta = {"command": args.command, "seed": args.seed,
             "fast": bool(args.fast)}
     try:

@@ -51,10 +51,10 @@ __all__ = ["StudyConfig", "AcceptableAdsStudy"]
 class StudyConfig:
     """Scale and determinism knobs for a full study run.
 
-    ``checkpoint`` (optional, caller-owned) journals the two
-    long-running stages — history generation and the site survey — so
-    a crashed run resumes from its last completed unit of work instead
-    of starting over (see :mod:`repro.state`)."""
+    ``checkpoint`` (optional, caller-owned) journals the site survey,
+    so a crashed run resumes from its last crawled target instead of
+    starting over (see :mod:`repro.state`).  The history is a pure
+    function of ``(seed, key_bits)`` and is regenerated on resume."""
 
     seed: int = 2015
     key_bits: int = 512
@@ -81,8 +81,7 @@ class AcceptableAdsStudy:
     @cached_property
     def history(self) -> WhitelistHistory:
         return generate_history(seed=self.config.seed,
-                                key_bits=self.config.key_bits,
-                                checkpoint=self.config.checkpoint)
+                                key_bits=self.config.key_bits)
 
     @cached_property
     def whitelist(self) -> FilterList:

@@ -33,7 +33,6 @@ from datetime import date, timedelta
 
 from repro.history.repository import Repository
 from repro.measurement.alexa import StudyPopulation, build_study_population
-from repro.state.checkpoint import Checkpoint, restore_rng, snapshot_rng
 from repro.sitekey.der import public_key_to_base64
 from repro.sitekey.parking import PARKING_SERVICES, ParkingService
 from repro.web.adnetworks import whitelisted_networks
@@ -156,24 +155,18 @@ def _is_filter_line(line: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def generate_history(seed: int = 2015, key_bits: int = 512,
-                     population: StudyPopulation | None = None,
-                     checkpoint: Checkpoint | None = None
+                     population: StudyPopulation | None = None
                      ) -> WhitelistHistory:
     """Generate the full 989-revision whitelist history.
 
     ``key_bits`` sets the parking sitekey strength (512 reproduces the
     paper; tests use smaller keys for speed).  The result is fully
-    deterministic in ``(seed, key_bits)``.
-
-    With a :class:`~repro.state.checkpoint.Checkpoint`, every committed
-    revision is journaled; a resumed run re-derives the (deterministic)
-    plan and replays journaled revisions instead of re-rolling them, so
-    the result is identical to an uninterrupted run.  The checkpoint is
-    caller-owned and pinned to ``(seed, key_bits)``.
+    deterministic in ``(seed, key_bits)``, so it is never journaled: a
+    resumed run regenerates it, which is faster than replaying it.
     """
     builder = _HistoryBuilder(seed=seed, key_bits=key_bits,
                               population=population)
-    return builder.build(checkpoint=checkpoint)
+    return builder.build()
 
 
 class _HistoryBuilder:
@@ -757,29 +750,13 @@ class _HistoryBuilder:
 
     # -- committing --------------------------------------------------------
 
-    def _commit_all(self, checkpoint: Checkpoint | None = None
-                    ) -> Repository:
+    def _commit_all(self) -> Repository:
         assert self.plan is not None
         repo = Repository()
         rng = self.rng
         extra_targets: list[str] = []   # FQDs eligible for extra filters
 
-        # The plan above is a pure function of the seed, so a resumed
-        # run re-derives it and only the commit loop — the part that
-        # consumes the rng incrementally — replays from the journal.
-        done: dict[str, dict] = {}
-        last_rng: list | None = None
-        if checkpoint is not None:
-            done = dict(checkpoint.begin_scope(
-                "history", {"seed": self.seed, "key_bits": self.key_bits}))
-            last_rng = snapshot_rng(rng)
-
         for rev, plan in enumerate(self.plan.revs):
-            journaled = done.get(str(rev))
-            if journaled is not None:
-                last_rng = self._replay_revision(repo, journaled,
-                                                 extra_targets, last_rng)
-                continue
             added = list(plan.added)
             removed = list(plan.removed)
             added_this_rev = set(added)
@@ -819,70 +796,14 @@ class _HistoryBuilder:
 
             # State updates happen *after* the commit so mods in later
             # revisions never target a line added in this one.
-            self._absorb_added(added, extra_targets)
-
-            if checkpoint is not None:
-                state = {"mod_counter": self._mod_counter,
-                         "extra_counter": self._extra_counter,
-                         "duplicates_budget": self._duplicates_budget,
-                         "dup_texts": sorted(self._dup_texts)}
-                rng_state = snapshot_rng(rng)
-                if rng_state != last_rng:
-                    state["rng"] = rng_state
-                    last_rng = rng_state
-                checkpoint.record("history", str(rev),
-                                  {"when": self.calendar[rev].isoformat(),
-                                   "message": message,
-                                   "added": added, "removed": removed,
-                                   "state": state})
-        if checkpoint is not None:
-            checkpoint.sync()
+            for line in added:
+                if not _is_filter_line(line):
+                    continue
+                if (line.startswith("@@||adserv.genericnet.com/")
+                        and line not in self._churn_texts):
+                    self._modifiable.append(line)
+                    extra_targets.extend(self._domains_of(line))
         return repo
-
-    def _absorb_added(self, added: list[str],
-                      extra_targets: list[str]) -> None:
-        """Post-commit bookkeeping: which new lines future mods/extras
-        may target.  Shared verbatim by the live and replay paths so a
-        resumed run's candidate lists match the uninterrupted run's."""
-        for line in added:
-            if not _is_filter_line(line):
-                continue
-            if (line.startswith("@@||adserv.genericnet.com/")
-                    and line not in self._churn_texts):
-                self._modifiable.append(line)
-                for domain in self._domains_of(line):
-                    extra_targets.append(domain)
-
-    def _replay_revision(self, repo: Repository, journaled: dict,
-                         extra_targets: list[str],
-                         last_rng: list | None) -> list | None:
-        """Re-apply one journaled revision without consuming the rng.
-
-        The committed delta comes straight from the journal; the
-        builder's incremental state (mod/extra counters, duplicate
-        budget, rng when it advanced, and the modifiable-filter pool)
-        is restored so the first *live* revision after the replayed
-        prefix rolls exactly what the uninterrupted run rolled.
-        """
-        added = journaled["added"]
-        removed = journaled["removed"]
-        repo.commit(date.fromisoformat(journaled["when"]),
-                    journaled["message"], added=added, removed=removed)
-        # Mod victims are exactly the removed lines present in the
-        # modifiable pool (planned removals never enter it).
-        for line in removed:
-            if line in self._modifiable:
-                self._modifiable.remove(line)
-        self._absorb_added(added, extra_targets)
-        state = journaled["state"]
-        self._mod_counter = state["mod_counter"]
-        self._extra_counter = state["extra_counter"]
-        self._duplicates_budget = state["duplicates_budget"]
-        self._dup_texts = set(state["dup_texts"])
-        if "rng" in state:
-            restore_rng(self.rng, state["rng"])
-            return state["rng"]
-        return last_rng
 
     def _pick_modifiable(self, rng: random.Random,
                          already_removed: set[str],
@@ -912,13 +833,12 @@ class _HistoryBuilder:
 
     # -- orchestration -------------------------------------------------------
 
-    def build(self, checkpoint: Checkpoint | None = None
-              ) -> WhitelistHistory:
+    def build(self) -> WhitelistHistory:
         self._build_calendar()
         self.plan = _Plan(len(self.calendar))
         self._schedule_structure()
         self._schedule_balance()
-        repo = self._commit_all(checkpoint)
+        repo = self._commit_all()
         directory = {
             domain: tuple(filters)
             for domain, filters in self.publisher_directory.items()

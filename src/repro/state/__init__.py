@@ -33,8 +33,7 @@ obs, cli) can depend on it without cycles.
 from repro.state.atomic import (ArtifactError, atomic_write_bytes,
                                 atomic_write_jsonl, atomic_write_text,
                                 jsonl_footer, read_jsonl)
-from repro.state.checkpoint import (Checkpoint, CheckpointError,
-                                    restore_rng, snapshot_rng)
+from repro.state.checkpoint import Checkpoint, CheckpointError
 from repro.state.crashpoints import (CRASH, CrashInjector, SimulatedCrash,
                                      crashing, crashpoint)
 from repro.state.journal import (JournalCorruption, JournalError,
@@ -56,8 +55,6 @@ __all__ = [
     "replay_journal",
     "Checkpoint",
     "CheckpointError",
-    "snapshot_rng",
-    "restore_rng",
     "CRASH",
     "CrashInjector",
     "SimulatedCrash",

@@ -1,18 +1,23 @@
 """Resumable run checkpoints built on the write-ahead journal.
 
 A :class:`Checkpoint` owns one :class:`~repro.state.journal.RunJournal`
-and gives the pipeline a unit-of-work vocabulary on top of it:
+and gives the survey a unit-of-work vocabulary on top of it:
 
 * :meth:`Checkpoint.begin_scope` opens a named phase of the run (one
-  survey engine-config/stratum group, the history commit loop) and
-  pins that phase's *configuration fingerprint* — resuming a journal
-  under different parameters is an error, not a silent wrong answer.
+  survey engine-config/stratum group) and pins that phase's
+  *configuration fingerprint* — resuming a journal under different
+  parameters is an error, not a silent wrong answer.
 * :meth:`Checkpoint.record` journals one completed unit (a crawled
-  target, a committed revision) with an identifying key and an
-  arbitrary JSON payload.
+  target) with an identifying key and an arbitrary JSON payload.
 * :meth:`Checkpoint.completed` replays what an earlier (crashed)
   process already finished so the caller can skip straight to the
   first incomplete unit.
+
+The survey is the only journaled stage: everything before it (the
+whitelist history, the samples) is a pure function of the seed and is
+regenerated on resume.  Units of scopes a resumed run never reopens
+are read and ignored, so journals written by older versions, which
+journaled more stages, still resume.
 
 :meth:`Checkpoint.resume` is deliberately forgiving about *when* the
 crash happened: a missing journal file means the previous run died
@@ -28,13 +33,13 @@ resumed run's results.
 >>> path = os.path.join(tempfile.mkdtemp(), "run.ckpt")
 >>> ckpt = Checkpoint.start(path, {"study": "demo"})
 >>> ckpt.begin_scope("survey", {"targets": 3})
-[]
 >>> ckpt.record("survey", "example.com", {"status": "success"})
 >>> ckpt.close()
 >>> resumed = Checkpoint.resume(path, {"study": "demo"})
 >>> resumed.resumed
 True
 >>> resumed.begin_scope("survey", {"targets": 3})
+>>> resumed.completed("survey")
 [('example.com', {'status': 'success'})]
 >>> resumed.close()
 """
@@ -43,26 +48,10 @@ from __future__ import annotations
 
 import json
 import os
-import random
 
 from repro.state.journal import JournalError, RunJournal
 
-__all__ = ["CheckpointError", "Checkpoint", "snapshot_rng", "restore_rng"]
-
-
-def snapshot_rng(rng: random.Random) -> list:
-    """``random.Random`` internal state as a JSON-serializable list.
-
-    Pipelines journal this *on change only* — the Mersenne state is
-    ~2.5 KB of JSON, but most units of work never touch the rng.
-    """
-    version, internal, gauss = rng.getstate()
-    return [version, list(internal), gauss]
-
-
-def restore_rng(rng: random.Random, data: list) -> None:
-    """Restore a state captured by :func:`snapshot_rng`."""
-    rng.setstate((data[0], tuple(data[1]), data[2]))
+__all__ = ["CheckpointError", "Checkpoint"]
 
 
 class CheckpointError(ValueError):
@@ -76,7 +65,8 @@ def _fingerprint(config: dict | None) -> str:
 
 
 class Checkpoint:
-    """One resumable run: scopes, completed units, and their journal.
+    """One resumable survey run: scopes, completed units, and their
+    journal.
 
     Construct via :meth:`start` (fresh run) or :meth:`resume`
     (continue a possibly-crashed one).
@@ -152,14 +142,12 @@ class Checkpoint:
 
     # -- scopes and units ------------------------------------------------
 
-    def begin_scope(self, scope: str,
-                    config: dict | None = None) -> list[tuple[str, dict]]:
+    def begin_scope(self, scope: str, config: dict | None = None) -> None:
         """Open (or re-open) a named phase of the run.
 
-        Returns the ordered ``(key, payload)`` units this scope already
-        completed in the crashed run — empty on a fresh start.  Raises
-        :class:`CheckpointError` if the journal recorded the scope
-        under a different configuration fingerprint.
+        Raises :class:`CheckpointError` if the journal recorded the
+        scope under a different configuration fingerprint; read the
+        units it already completed with :meth:`completed`.
         """
         fingerprint = _fingerprint(config)
         recorded = self._scopes.get(scope)
@@ -172,7 +160,6 @@ class Checkpoint:
                 f"{self.path}: scope {scope!r} was journaled with "
                 f"configuration {recorded} but is being resumed with "
                 f"{fingerprint}; results would not be comparable")
-        return list(self._units.get(scope, ()))
 
     def completed(self, scope: str) -> list[tuple[str, dict]]:
         """Units already journaled for ``scope``, in completion order."""

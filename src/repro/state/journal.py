@@ -2,11 +2,10 @@
 
 A paper-scale survey is hours of crawling; a longitudinal blacklist
 study is months of collection.  The journal is what makes that work
-crash-safe: every *completed unit of work* (one crawled target, one
-committed history revision) is appended as one self-verifying record
-**before** the run moves on, so after a crash the pipeline knows
-exactly which units are done and restarts from the first incomplete
-one (:mod:`repro.state.checkpoint`).
+crash-safe: every *completed unit of work* (one crawled target) is
+appended as one self-verifying record **before** the run moves on, so
+after a crash the pipeline knows exactly which units are done and
+restarts from the first incomplete one (:mod:`repro.state.checkpoint`).
 
 Record format — one line per record::
 

@@ -1,9 +1,10 @@
 """Retry, timeout-budget, and circuit-breaker machinery for the crawl.
 
-The Section 5 survey and the Table 3 zone scan both hammer thousands of
-hosts; at that scale failures are the norm, not the exception.  This
-module is the composable resilience layer every fetch and browser visit
-routes through:
+The Section 5 survey hammers thousands of hosts; at that scale failures
+are the norm, not the exception.  This module is the composable
+resilience layer every survey browser visit routes through (the
+Table 3 zone scan fetches with a bare :class:`~repro.web.http.HttpClient`
+and does not use it):
 
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
   deterministic seeded jitter, gated by an error-class predicate;

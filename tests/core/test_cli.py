@@ -48,6 +48,12 @@ class TestParser:
         (["serve", "--max-queue", "-1"], "--max-queue"),
         (["survey", "--max-worker-restarts", "-1"],
          "--max-worker-restarts"),
+        (["temporal", "--top", "0"], "--top"),
+        (["survey", "--stratum", "-3"], "--stratum"),
+        (["parking", "--divisor", "0"], "--divisor"),
+        (["exploit", "--bits", "15"], "--bits"),
+        (["table1", "--timeseries-interval", "0"],
+         "--timeseries-interval"),
     ])
     def test_out_of_range_values_are_usage_errors(self, argv, option,
                                                   capsys):

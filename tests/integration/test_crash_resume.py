@@ -4,9 +4,10 @@ The crash-safety contract (see ``docs/RESILIENCE.md``) is that a run
 killed at an arbitrary journal append — on a clean record boundary or
 mid-write (torn tail) — and restarted with ``Checkpoint.resume`` is
 byte-identical to an uninterrupted run.  These tests inject
-``SimulatedCrash`` at early/late/torn steps of the Section 5 survey and
-the history generator, then compare full outcome projections and
-rendered outputs against an unjournaled baseline.
+``SimulatedCrash`` at early/late/torn steps of the Section 5 survey,
+then compare full outcome projections and rendered outputs against an
+unjournaled baseline.  The whitelist history is never journaled (it is
+regenerated from the seed), so it has no crash points of its own.
 
 Observability stays disabled (the default): a resumed run legitimately
 skips re-incrementing counters for replayed units, so metric files are
@@ -19,11 +20,10 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.history.generator import generate_history
 from repro.measurement.stats import section51_headline
 from repro.measurement.survey import SurveyConfig, run_survey
 from repro.reporting.tables import render_crawl_health
-from repro.state import Checkpoint
+from repro.state import Checkpoint, RunJournal, replay_journal
 from repro.state.crashpoints import CrashInjector, SimulatedCrash, crashing
 from repro.web.crawlstate import snapshot_outcome
 
@@ -113,47 +113,6 @@ class TestSurveyCrashResume:
             resumed.close()
 
 
-def _history_fingerprint(history) -> str:
-    repo = history.repository
-    changesets = [
-        (c.rev, c.when.isoformat(), c.message, list(c.added),
-         list(c.removed))
-        for c in repo.log()
-    ]
-    return json.dumps({
-        "changesets": changesets,
-        "tip": history.tip_lines(),
-        "publishers": {k: list(v)
-                       for k, v in history.publisher_directory.items()},
-        "sitekeys": history.sitekeys,
-    }, sort_keys=True)
-
-
-class TestHistoryCrashResume:
-    def test_mid_generation_crash_resume_identical(self, history,
-                                                   tmp_path):
-        path = str(tmp_path / "hist.ckpt")
-        checkpoint = Checkpoint.start(path)
-        try:
-            with crashing(CrashInjector(at_step=300)):
-                with pytest.raises(SimulatedCrash):
-                    generate_history(seed=2015, key_bits=128,
-                                     checkpoint=checkpoint)
-        finally:
-            checkpoint.close()
-        resumed = Checkpoint.resume(path)
-        assert resumed.resumed
-        try:
-            regenerated = generate_history(seed=2015, key_bits=128,
-                                           checkpoint=resumed)
-        finally:
-            resumed.close()
-        # The session ``history`` fixture is the uninterrupted baseline
-        # (same seed and key size).
-        assert _history_fingerprint(regenerated) == \
-            _history_fingerprint(history)
-
-
 class TestCliResume:
     ARGS = ("survey", "--fast", "--top", "20", "--stratum", "5",
             "--fault-rate", "0.3")
@@ -179,12 +138,59 @@ class TestCliResume:
 
     def test_resume_under_different_flags_rejected(self, tmp_path):
         path = str(tmp_path / "cli.ckpt")
-        self._run("table1", "--fast", "--checkpoint", path)
+        self._run("survey", "--fast", "--top", "20", "--stratum", "5",
+                  "--seed", "1", "--checkpoint", path)
         out = io.StringIO()
         code = main(["survey", "--fast", "--top", "20", "--stratum", "5",
                      "--checkpoint", path, "--resume"], out=out)
         assert code == 2
         assert "different run" in out.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--checkpoint", "run.ckpt"],
+        ["serve", "--resume"],
+    ])
+    def test_checkpoint_flags_only_on_survey(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv, out=io.StringIO())
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_resumes_checkpoint_with_journaled_history(self, history,
+                                                       tmp_path):
+        """Older journals open with a ``history`` scope of revision
+        units before the survey scopes.  Resuming one ignores the
+        history units (the history is regenerated) and replays the
+        survey units."""
+        plain = self._run(*self.ARGS)
+        fresh = str(tmp_path / "fresh.ckpt")
+        self._run(*self.ARGS, "--checkpoint", fresh)
+        records, _ = replay_journal(fresh)
+        header, survey_records = records[0], records[1:]
+
+        path = str(tmp_path / "old.ckpt")
+        journal = RunJournal.create(path, header["meta"])
+        journal.append({"kind": "scope", "scope": "history",
+                        "fingerprint": '{"key_bits":128,"seed":2015}'})
+        for change in list(history.repository.log())[:3]:
+            journal.append({"kind": "unit", "scope": "history",
+                            "key": str(change.rev), "payload": {
+                                "when": change.when.isoformat(),
+                                "message": change.message,
+                                "added": list(change.added),
+                                "removed": list(change.removed),
+                                "state": {"mod_counter": 0,
+                                          "extra_counter": 0,
+                                          "duplicates_budget": 35,
+                                          "dup_texts": []}}})
+        # Half the survey: the resumed run must crawl the rest.
+        for record in survey_records[:len(survey_records) // 2]:
+            journal.append({key: value for key, value in record.items()
+                            if key != "seq"})
+        journal.close()
+
+        resumed = self._run(*self.ARGS, "--checkpoint", path, "--resume")
+        assert resumed == f"resuming from checkpoint {path}\n" + plain
 
 
 class TestBenchmarkSmoke:
