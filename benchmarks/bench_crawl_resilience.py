@@ -1,6 +1,6 @@
 """Micro-benchmark: overhead of the resilient crawl pipeline.
 
-The retry/backoff/breaker machinery wraps *every* survey visit, so on a
+The retry/backoff machinery wraps *every* survey visit, so on a
 clean run (no injected faults) it must be close to free — the whole
 point of threading resilience through the crawler is that scaling PRs
 can rely on it unconditionally.  This benchmark crawls the same targets

@@ -5,8 +5,8 @@ Two questions, answered in one JSON artifact
 
 1. **How well does the survey parallelise?**  The Section 5 crawl is
    embarrassingly parallel per target, and its cost on real hardware is
-   the simulated per-target crawl latency (retries, backoff, breaker
-   waits).  We run the same survey at 1/2/4/8 workers, record real
+   the simulated per-target crawl latency (retries and backoff
+   sleeps).  We run the same survey at 1/2/4/8 workers, record real
    wall-clock per count, and compute the *simulated makespan* speedup —
    total per-unit latency over the slowest shard of a static
    round-robin deal — which is what a pre-dealt split's wall-clock

@@ -21,6 +21,8 @@ Usage::
 
 Heavy stages honour ``--fast`` (small demo RSA keys) and the scale
 flags, so everything is runnable on a laptop in seconds to minutes.
+The shared flags (``--seed``, ``--fast``, ``--metrics-out``, ...) go
+after the subcommand; placed before it they are a usage error.
 """
 
 from __future__ import annotations
@@ -74,6 +76,29 @@ def _positive_float(text: str) -> float:
 _positive_float.__name__ = "float"
 
 
+def _non_negative_float(text: str) -> float:
+    """argparse ``type`` for a float at or above zero."""
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+_non_negative_float.__name__ = "float"
+
+
+def _port(text: str) -> int:
+    """argparse ``type`` for a TCP port number (0 picks a free one)."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be between 0 and 65535, got {value}")
+    return value
+
+
+_port.__name__ = "int"
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=2015)
@@ -103,13 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "and dump it to PATH on crash, SIGUSR2, "
                              "or exit ('repro obs flight PATH' renders "
                              "it)")
-    common.add_argument("--flight-capacity", type=int, default=None,
+    common.add_argument("--flight-capacity", type=_int_at_least(1),
+                        default=None,
                         metavar="N",
                         help="flight-recorder ring capacity "
                              "(default 2048)")
 
     parser = argparse.ArgumentParser(
-        prog="repro", parents=[common],
+        prog="repro",
         description="Reproduction of 'Measuring the Impact and "
                     "Perception of Acceptable Advertisements' (IMC'15)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -185,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = add("serve", "resilient filter-match serving daemon")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8791,
+    serve.add_argument("--port", type=_port, default=8791,
                        help="bind port; 0 picks a free one "
                             "(default 8791)")
     serve.add_argument("--max-inflight", type=_int_at_least(1),
@@ -195,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=64,
                        help="requests allowed to wait for a slot; "
                             "beyond this the daemon sheds (429)")
-    serve.add_argument("--deadline-ms", type=float, default=1_000.0,
+    serve.add_argument("--deadline-ms", type=_positive_float,
+                       default=1_000.0,
                        help="default per-request budget when the "
                             "client sends no X-Repro-Deadline-Ms")
     serve.add_argument("--drain-timeout", type=float, default=10.0,
@@ -230,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     slow = obs_sub.add_parser(
         "slow", help="the top-N most expensive spans in a trace")
     slow.add_argument("paths", nargs="+", metavar="PATH")
-    slow.add_argument("--top", type=int, default=10,
+    slow.add_argument("--top", type=_int_at_least(1), default=10,
                       help="how many spans to show")
     slow.add_argument("--by", choices=("cumulative", "self"),
                       default="cumulative",
@@ -247,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("baseline", metavar="BASELINE",
                       help="JSONL export or committed BENCH_*.json")
     diff.add_argument("candidate", metavar="CANDIDATE")
-    diff.add_argument("--tolerance", type=float, default=0.25,
+    diff.add_argument("--tolerance", type=_non_negative_float,
+                      default=0.25,
                       help="max |relative change| before failing "
                            "(default 0.25)")
     diff.add_argument("--metric", action="append", default=None,
@@ -265,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the --timeseries-out base path")
     watch.add_argument("--once", action="store_true",
                        help="render one frame and exit (CI smoke mode)")
-    watch.add_argument("--interval", type=float, default=2.0,
+    watch.add_argument("--interval", type=_positive_float, default=2.0,
                        metavar="SECONDS",
                        help="refresh period (default 2)")
     watch.add_argument("--metric", action="append", default=None,
@@ -281,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="GLOB", dest="metric",
                           help="metrics to plot (fnmatch, repeatable; "
                                "default: run.progress.* gauges)")
-    timeline.add_argument("--width", type=int, default=60,
+    timeline.add_argument("--width", type=_int_at_least(1), default=60,
                           help="sparkline width in characters")
 
     flight = obs_sub.add_parser(

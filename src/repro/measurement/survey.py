@@ -63,9 +63,9 @@ class SurveyConfig:
 
     Every target is crawled *shared-nothing* by
     :func:`repro.parallel.scheduler.run_stealing_survey`: it gets a
-    derived rng and a fresh breaker, so results are byte-identical for
-    every ``workers`` value, and checkpoints resume across worker-count
-    changes.  ``workers`` ``None`` (default) or 1 crawls in-process;
+    derived rng and a clock rewound to zero, so results are
+    byte-identical for every ``workers`` value, and checkpoints resume
+    across worker-count changes.  ``workers`` ``None`` (default) or 1 crawls in-process;
     N >= 2 forks N supervised workers.  ``lease_size`` and
     ``max_worker_restarts`` tune the forked scheduler.
     ``steal_crash_injector`` is the deterministic worker-death harness

@@ -8,8 +8,6 @@ list and runs every unit *shared-nothing*:
   ``(fault_seed, "crawl-jitter", domain, rank)`` (see
   :mod:`repro.parallel.rng`), not from a stream shared with earlier
   targets;
-* it gets a fresh circuit breaker (survey domains are distinct, so no
-  cross-target breaker state exists to lose);
 * its simulated clock is rewound to zero, so each unit's latency is an
   exact float sum from ``t=0`` rather than a difference between two
   large accumulated clock positions;
@@ -105,7 +103,6 @@ from repro.state.leaselog import (LeaseLog, discard_lease_log,
                                   read_lease_strikes)
 from repro.web.crawler import Crawler, CrawlOutcome, CrawlStatus, CrawlTarget
 from repro.web.crawlstate import restore_outcome, snapshot_outcome, unit_key
-from repro.web.resilience import CircuitBreaker
 
 __all__ = [
     "run_stealing_survey",
@@ -264,7 +261,6 @@ def _crawl_units(crawler: Crawler,
     for index, group_name, target in units:
         rng = derive_rng(jitter_seed, _JITTER_LABEL, target.domain,
                          target.rank)
-        breaker = CircuitBreaker()
         # Latencies are clock *deltas*; rewinding to zero per unit makes
         # them exact sums from t=0, independent of what earlier units on
         # this worker consumed (float addition is not associative).
@@ -288,7 +284,6 @@ def _crawl_units(crawler: Crawler,
             OBS.enabled = registry.enabled or tracer.enabled
             try:
                 outcome = crawler.visit_target(target, rng=rng,
-                                               breaker=breaker,
                                                unit=index)
             finally:
                 OBS.registry, OBS.tracer, OBS.enabled = previous
@@ -297,7 +292,7 @@ def _crawl_units(crawler: Crawler,
             if collect_spans:
                 spans = span_records(tracer)
         else:
-            outcome = crawler.visit_target(target, rng=rng, breaker=breaker)
+            outcome = crawler.visit_target(target, rng=rng)
         key = unit_key(group_name, target)
         payload = {"group": group_name,
                    "outcome": snapshot_outcome(outcome)}

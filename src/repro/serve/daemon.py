@@ -423,8 +423,22 @@ class _ServeHandler(BaseHTTPRequestHandler):
             if OBS.enabled:
                 OBS.registry.counter("serve.client_aborts").inc()
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+    def _read_body(self) -> bytes | None:
+        """The request body, or ``None`` once a 400 has been sent.
+
+        A ``Content-Length`` that is not a non-negative integer leaves
+        the rest of the stream unframed, so the reply also closes the
+        connection (``Connection: close`` sets ``close_connection``).
+        """
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send(*protocol.error(
+                "Content-Length must be a non-negative integer"),
+                {"Connection": "close"})
+            return None
         return self.rfile.read(length) if length else b""
 
     def _test_delay_s(self) -> float:
@@ -491,6 +505,8 @@ class _ServeHandler(BaseHTTPRequestHandler):
                         "X-Repro-Deadline-Ms must be a number"))
                     return
             body = self._read_body()
+            if body is None:
+                return
             status, payload, headers = daemon.handle_match(
                 body, deadline_ms, test_delay_s=self._test_delay_s())
             self._send(status, payload, headers)
@@ -499,7 +515,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 self._send(503, {"status": "draining"},
                            {"Retry-After": "1"})
                 return
-            status, payload = daemon.handle_reload(self._read_body())
+            body = self._read_body()
+            if body is None:
+                return
+            status, payload = daemon.handle_reload(body)
             self._send(status, payload)
         else:
             self._send(*protocol.error(f"no such path {self.path!r}",

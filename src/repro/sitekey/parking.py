@@ -30,6 +30,7 @@ from repro.sitekey.protocol import make_header, verify_presented_key
 from repro.sitekey.rsa import RsaPrivateKey, generate_keypair
 from repro.web.dom import Document
 from repro.web.http import (
+    DEFAULT_USER_AGENT,
     Handler,
     HttpClient,
     HttpError,
@@ -292,18 +293,21 @@ class ZoneScanner:
                 return self._servers[service.name].handler()
         return None
 
-    def scan(self, zone: Iterable[ZoneEntry]) -> dict[str, ScanResult]:
+    def scan(self, zone: Iterable[ZoneEntry], *,
+             user_agent: str = DEFAULT_USER_AGENT) -> dict[str, ScanResult]:
         """Run the full two-step scan over ``zone``.
 
         Returns per-service :class:`ScanResult`s keyed by service name.
         A suspected domain is *confirmed* only when the visit (with
         redirects and cookies) yields a response whose sitekey signature
         verifies — exactly the paper's acceptance criterion.
+        ``user_agent`` is what the scan presents; the countermeasure
+        study passes curl's, which ParkingCrew answers with a 403.
         """
         results = {s.name: ScanResult(service=s) for s in self.services}
         zone_list = list(zone)
         self._zone_ns = {e.domain: e.nameservers for e in zone_list}
-        client = HttpClient(self._resolve)
+        client = HttpClient(self._resolve, user_agent=user_agent)
 
         for entry in zone_list:
             service = self.service_for_entry(entry)
@@ -324,40 +328,6 @@ class ZoneScanner:
                 "/lander" if service.cookie_redirect else "/",
                 entry.domain,
                 client.user_agent,
-            )
-            if verification.valid:
-                result.confirmed += 1
-            else:
-                result.rejected.append(entry.domain)
-        return results
-
-    def scan_with_user_agent(self, zone: Iterable[ZoneEntry],
-                             user_agent: str) -> dict[str, ScanResult]:
-        """Variant for the countermeasure study (e.g. curl's UA)."""
-        original = HttpClient(self._resolve)
-        original.user_agent = user_agent
-        results = {s.name: ScanResult(service=s) for s in self.services}
-        zone_list = list(zone)
-        self._zone_ns = {e.domain: e.nameservers for e in zone_list}
-        for entry in zone_list:
-            service = self.service_for_entry(entry)
-            if service is None:
-                continue
-            result = results[service.name]
-            result.suspected += 1
-            try:
-                response = original.get(f"http://{entry.domain}/")
-            except HttpError:
-                result.rejected.append(entry.domain)
-                continue
-            if not response.ok:
-                result.rejected.append(entry.domain)
-                continue
-            verification = verify_presented_key(
-                response.adblock_key_header,
-                "/lander" if service.cookie_redirect else "/",
-                entry.domain,
-                original.user_agent,
             )
             if verification.valid:
                 result.confirmed += 1

@@ -10,13 +10,13 @@ always know their denominator.  Successful outcomes carry a
 :class:`CrawlRecord`, the raw material for every Section 5 table and
 figure.
 
-Every visit routes through the resilience layer
+Every visit routes through the retry layer
 (:mod:`repro.web.resilience`): a :class:`~repro.web.resilience.RetryPolicy`
-with seeded backoff jitter, a per-registered-domain circuit breaker,
-and an optional :class:`~repro.web.faults.FaultInjector` that injects
-the failure modes a live crawl sees.  With no injector the pipeline is
-a clean pass-through — a zero-fault crawl produces records identical to
-the bare visit loop.
+with seeded backoff jitter, and an optional
+:class:`~repro.web.faults.FaultInjector` that injects the failure modes
+a live crawl sees.  With no injector the pipeline is a clean
+pass-through — a zero-fault crawl produces records identical to the
+bare visit loop.
 
 Two engine configurations matter (Figure 6 compares them):
 
@@ -38,7 +38,6 @@ from repro.obs import OBS
 from repro.web.browser import InstrumentedBrowser, PageVisit
 from repro.web.faults import FaultInjector
 from repro.web.resilience import (
-    BreakerRegistry,
     OutcomeStatus,
     RetryPolicy,
     SimulatedClock,
@@ -114,7 +113,6 @@ class CrawlOutcome:
     error_class: str | None = None
     attempts: int = 1
     latency_ms: float = 0.0
-    breaker_open: bool = False
 
     @property
     def domain(self) -> str:
@@ -139,7 +137,6 @@ class CrawlHealth:
     failed: int = 0
     total_attempts: int = 0
     retried: int = 0                      # outcomes needing >1 attempt
-    breaker_skips: int = 0                # visits refused by open circuits
     total_latency_ms: float = 0.0
     #: Final error class -> tombstone count.
     failure_counts: dict[str, int] = field(default_factory=dict)
@@ -172,8 +169,6 @@ def crawl_health(outcomes: Iterable[CrawlOutcome]) -> CrawlHealth:
         health.total_latency_ms += outcome.latency_ms
         if outcome.attempts > 1:
             health.retried += 1
-        if outcome.breaker_open:
-            health.breaker_skips += 1
         if outcome.status is CrawlStatus.SUCCESS:
             health.succeeded += 1
         elif outcome.status is CrawlStatus.DEGRADED:
@@ -218,7 +213,7 @@ class Crawler:
     hard each target is retried; ``rng`` seeds the backoff jitter (all
     crawl randomness flows from this one ``random.Random``).  The
     crawler shares the injector's simulated clock when one is present
-    so latencies and breaker cooldowns agree.
+    so backoff sleeps and injected latencies add up on one clock.
     """
 
     def __init__(self, engine: AdblockEngine, *,
@@ -226,8 +221,6 @@ class Crawler:
                  retry_policy: RetryPolicy | None = None,
                  fault_injector: FaultInjector | None = None,
                  rng: random.Random | None = None,
-                 clock: SimulatedClock | None = None,
-                 breakers: BreakerRegistry | None = None,
                  **browser_kwargs) -> None:
         self.browser = InstrumentedBrowser(engine, **browser_kwargs)
         self._profile_factory = profile_factory or (
@@ -238,34 +231,25 @@ class Crawler:
             ))
         self.policy = retry_policy or RetryPolicy()
         self.injector = fault_injector
-        if clock is not None:
-            self.clock = clock
-        elif fault_injector is not None:
-            self.clock = fault_injector.clock
-        else:
-            self.clock = SimulatedClock()
+        self.clock = (fault_injector.clock if fault_injector is not None
+                      else SimulatedClock())
         self.rng = rng if rng is not None else random.Random(0)
-        self.breakers = breakers or BreakerRegistry()
 
     def visit_target(self, target: CrawlTarget, *,
                      rng: random.Random | None = None,
-                     breaker=None,
                      unit: int | None = None) -> CrawlOutcome:
-        """Visit one (validated) target through the resilience pipeline.
+        """Visit one (validated) target through the retry pipeline.
 
-        ``rng`` and ``breaker`` override the crawler's shared backoff
-        rng and per-registered-domain breaker for this one visit.  The
-        survey executor (:mod:`repro.parallel.scheduler`) passes a
-        per-target derived rng and a fresh breaker so the visit's
-        result is independent of every other target's execution, plus
+        ``rng`` overrides the crawler's shared backoff rng for this one
+        visit.  The survey executor (:mod:`repro.parallel.scheduler`)
+        passes a per-target derived rng so the visit's result is
+        independent of every other target's execution, plus
         the unit's global index as ``unit`` — recorded as a span
         attribute so a stitched cross-worker trace names every visit by
         its position in the global unit order.
         """
         _validate_target(target)
         profile = self._profile_factory(target)
-        if breaker is None:
-            breaker = self.breakers.get(target.domain)
         if rng is None:
             rng = self.rng
 
@@ -285,21 +269,19 @@ class Crawler:
             with OBS.tracer.span("web.crawl.visit", **attrs):
                 call = execute_with_policy(
                     attempt, policy=self.policy, clock=self.clock,
-                    rng=rng, breaker=breaker)
+                    rng=rng)
             reg = OBS.registry
             reg.counter("web.crawl.outcomes",
                         status=call.status.value).inc()
             reg.counter("web.crawl.attempts").inc(call.attempts)
             if call.attempts > 1:
                 reg.counter("web.crawl.retries").inc(call.attempts - 1)
-            if call.breaker_open:
-                reg.counter("web.crawl.breaker_skips").inc()
             reg.histogram("web.crawl.latency_ms").observe(
                 call.elapsed * 1000.0)
         else:
             call = execute_with_policy(
                 attempt, policy=self.policy, clock=self.clock,
-                rng=rng, breaker=breaker)
+                rng=rng)
         record = None
         if call.value is not None:
             record = CrawlRecord(target=target, visit=call.value,
@@ -307,8 +289,7 @@ class Crawler:
         return CrawlOutcome(target=target, status=call.status,
                             record=record, error_class=call.error_class,
                             attempts=call.attempts,
-                            latency_ms=call.elapsed * 1000.0,
-                            breaker_open=call.breaker_open)
+                            latency_ms=call.elapsed * 1000.0)
 
     def survey(self, targets: Iterable[CrawlTarget]) -> list[CrawlOutcome]:
         """Survey ``targets``, one :class:`CrawlOutcome` each.

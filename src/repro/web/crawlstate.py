@@ -125,13 +125,18 @@ def snapshot_outcome(outcome: CrawlOutcome) -> dict:
         "error_class": outcome.error_class,
         "attempts": outcome.attempts,
         "latency_ms": outcome.latency_ms,
-        "breaker_open": outcome.breaker_open,
+        # A retired field, always false: keeping the key keeps the
+        # journal format, and digests taken over it, unchanged.
+        "breaker_open": False,
         "record": record,
     }
 
 
 def restore_outcome(data: dict) -> CrawlOutcome:
-    """Rebuild a :class:`CrawlOutcome` journaled by :func:`snapshot_outcome`."""
+    """Rebuild a :class:`CrawlOutcome` journaled by :func:`snapshot_outcome`.
+
+    The retired ``breaker_open`` key is ignored, whatever its value.
+    """
     from repro.web.browser import PageVisit
 
     target = _restore_target(data["target"])
@@ -156,7 +161,6 @@ def restore_outcome(data: dict) -> CrawlOutcome:
         error_class=data["error_class"],
         attempts=data["attempts"],
         latency_ms=data["latency_ms"],
-        breaker_open=data["breaker_open"],
     )
 
 

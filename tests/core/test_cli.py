@@ -37,6 +37,14 @@ class TestParser:
                                           "--seed", "7"])
         assert args.fast and args.seed == 7
 
+    def test_shared_flags_rejected_before_subcommand(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--metrics-out", "x", "table1"], out=io.StringIO())
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("argv, option", [
         (["survey", "--fault-rate", "1.5"], "--fault-rate"),
         (["survey", "--workers", "0"], "--workers"),
@@ -54,6 +62,16 @@ class TestParser:
         (["exploit", "--bits", "15"], "--bits"),
         (["table1", "--timeseries-interval", "0"],
          "--timeseries-interval"),
+        (["obs", "timeline", "ts.jsonl", "--width", "0"], "--width"),
+        (["obs", "timeline", "ts.jsonl", "--width", "-3"], "--width"),
+        (["obs", "slow", "t.jsonl", "--top", "-1"], "--top"),
+        (["obs", "diff", "a.jsonl", "b.jsonl", "--tolerance", "-1"],
+         "--tolerance"),
+        (["obs", "watch", "ts.jsonl", "--interval", "-1"], "--interval"),
+        (["table1", "--flight-capacity", "-5"], "--flight-capacity"),
+        (["table1", "--flight-capacity", "0"], "--flight-capacity"),
+        (["serve", "--port", "70000"], "--port"),
+        (["serve", "--deadline-ms", "-5"], "--deadline-ms"),
     ])
     def test_out_of_range_values_are_usage_errors(self, argv, option,
                                                   capsys):

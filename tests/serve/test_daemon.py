@@ -10,6 +10,7 @@ finishes in-flight work while refusing new work with 503.
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -166,6 +167,20 @@ class TestShedding:
         assert status == 400
         assert json.loads(raw)["outcome"] == "error"
 
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400_and_closes(self, daemon, length):
+        # The socket timeout bounds the test if the daemon never replies.
+        with socket.create_connection(daemon.address, timeout=5.0) as sock:
+            sock.sendall(f"POST /v1/match HTTP/1.1\r\nHost: t\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode())
+            reply = b""
+            while chunk := sock.recv(65536):    # EOF: the daemon hung up
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert json.loads(body)["outcome"] == "error"
 
 class TestHealth:
     def test_healthz_reports_epoch_and_reload_state(self, daemon):

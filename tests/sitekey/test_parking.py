@@ -9,8 +9,10 @@ from repro.sitekey.parking import (
     ZoneScanner,
     synthesize_zone,
 )
+from repro.sitekey.protocol import verify_presented_key
 from repro.web.http import (
     CURL_USER_AGENT,
+    DEFAULT_USER_AGENT,
     HttpClient,
     HttpRequest,
     HttpResponse,
@@ -119,6 +121,25 @@ class TestParkedDomainServer:
         assert response.ok
         assert response.adblock_key_header
 
+    def test_uniregistry_sitekey_verifies_at_lander(self):
+        # The cookie-redirect dance ends on /lander, which the key signs.
+        server = ParkedDomainServer(service("Uniregistry"),
+                                    key_bits=KEY_BITS)
+        response = self._get(server, host="parked-uni.com")
+        assert verify_presented_key(
+            response.adblock_key_header, "/lander", "parked-uni.com",
+            DEFAULT_USER_AGENT).valid
+
+    def test_parkingcrew_withholds_sitekey_from_curl(self):
+        server = ParkedDomainServer(service("ParkingCrew"),
+                                    key_bits=KEY_BITS)
+        assert self._get(server, ua=CURL_USER_AGENT).adblock_key_header \
+            is None
+        response = self._get(server, host="parked-crew.com")
+        assert verify_presented_key(
+            response.adblock_key_header, "/", "parked-crew.com",
+            DEFAULT_USER_AGENT).valid
+
     def test_sitekey_can_be_disabled(self):
         server = ParkedDomainServer(service("Sedo"), key_bits=KEY_BITS,
                                     present_sitekey=False)
@@ -152,7 +173,7 @@ class TestZoneScan:
     def test_curl_scan_misses_parkingcrew(self):
         zone = synthesize_zone(scale_divisor=50_000, noise_domains=0)
         scanner = ZoneScanner(key_bits=KEY_BITS)
-        results = scanner.scan_with_user_agent(zone, CURL_USER_AGENT)
+        results = scanner.scan(zone, user_agent=CURL_USER_AGENT)
         assert results["ParkingCrew"].confirmed == 0
         assert results["ParkingCrew"].suspected > 0
         assert results["Sedo"].confirmed > 0

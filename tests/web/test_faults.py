@@ -15,8 +15,6 @@ from repro.web.faults import (
 from repro.web.http import (
     ConnectTimeout,
     DnsFailure,
-    HttpClient,
-    HttpResponse,
     ReadTimeout,
     ServerFault,
     TooManyRedirects,
@@ -150,50 +148,6 @@ class TestInjectorVisitPath:
     def test_clean_domain_passes_through(self):
         injector = FaultInjector(FaultPlan.uniform(0.0, seed=0))
         assert injector.run("x.com", lambda: 42) == 42
-
-
-class TestInjectorHttpPath:
-    @staticmethod
-    def ok_handler(request):
-        return HttpResponse(status=200, body="fine")
-
-    def test_server_error_becomes_503(self):
-        injector = FaultInjector(single_fault_plan(FaultKind.SERVER_ERROR))
-        handler = injector.wrap_handler(self.ok_handler, "x.com")
-        client = HttpClient(lambda h: handler if h == "x.com" else None)
-        response = client.get("http://x.com/")
-        assert response.status == 503
-
-    def test_redirect_loop_detected_by_client(self):
-        injector = FaultInjector(single_fault_plan(FaultKind.REDIRECT_LOOP))
-        handler = injector.wrap_handler(self.ok_handler, "x.com")
-        client = HttpClient(lambda h: handler if h == "x.com" else None)
-        with pytest.raises(TooManyRedirects):
-            client.get("http://x.com/")
-
-    def test_dns_failure_raises_through_client(self):
-        injector = FaultInjector(single_fault_plan(FaultKind.DNS_FAILURE))
-        handler = injector.wrap_handler(self.ok_handler, "x.com")
-        client = HttpClient(lambda h: handler if h == "x.com" else None)
-        with pytest.raises(DnsFailure):
-            client.get("http://x.com/")
-
-    def test_wrap_resolver_preserves_unknown_hosts(self):
-        injector = FaultInjector(FaultPlan.uniform(0.0, seed=0))
-        resolver = injector.wrap_resolver(
-            lambda h: self.ok_handler if h == "known.com" else None)
-        assert resolver("unknown.com") is None
-        assert resolver("known.com") is not None
-
-    def test_flaky_http_then_succeeds(self):
-        injector = FaultInjector(
-            single_fault_plan(FaultKind.FLAKY, flaky_failures=1))
-        resolver = injector.wrap_resolver(
-            lambda h: self.ok_handler if h == "x.com" else None)
-        client = HttpClient(resolver)
-        with pytest.raises(ConnectTimeout):
-            client.get("http://x.com/")
-        assert client.get("http://x.com/").body == "fine"
 
 
 class TestFaultDataclasses:

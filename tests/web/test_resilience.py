@@ -1,10 +1,4 @@
-"""Unit tests for retries, deadlines, circuit breakers, ResilientClient.
-
-Includes the Section 4.2.3 countermeasure paths under injected faults:
-Uniregistry's cookie-redirect dance and ParkingCrew's anti-curl 403
-must survive flaky-then-succeed injection and still yield (or properly
-withhold) the sitekey header.
-"""
+"""Unit tests for the simulated clock, retry policy and retry loop."""
 
 import random
 
@@ -18,25 +12,15 @@ from repro.web.http import (
     ConnectTimeout,
     DnsFailure,
     HttpClient,
-    HttpResponse,
     TooManyRedirects,
 )
 from repro.web.resilience import (
-    BreakerRegistry,
-    BreakerState,
-    CircuitBreaker,
-    Deadline,
     OutcomeStatus,
-    ResilientClient,
     RetryPolicy,
     SimulatedClock,
     classify_error,
     execute_with_policy,
 )
-
-
-def service(name: str):
-    return next(s for s in PARKING_SERVICES if s.name == name)
 
 
 class TestSimulatedClock:
@@ -93,115 +77,6 @@ class TestClassifyError:
         assert classify_error(KeyError("?")) == "unexpected"
 
 
-class TestDeadline:
-    def test_expiry_tracks_clock(self):
-        clock = SimulatedClock()
-        deadline = Deadline.after(clock, 10.0)
-        assert not deadline.expired
-        assert deadline.remaining() == 10.0
-        clock.advance(10.0)
-        assert deadline.expired
-        assert deadline.remaining() == 0.0
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown=30.0)
-        for t in range(3):
-            assert breaker.allow(float(t))
-            breaker.record_failure(float(t))
-        assert breaker.state is BreakerState.OPEN
-        assert not breaker.allow(3.0)
-        assert breaker.open_count == 1
-
-    def test_half_open_probe_closes_on_success(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=30.0)
-        breaker.record_failure(0.0)
-        assert not breaker.allow(10.0)
-        assert breaker.allow(31.0)          # half-open probe
-        assert breaker.state is BreakerState.HALF_OPEN
-        assert not breaker.allow(31.0)      # only one probe at a time
-        breaker.record_success()
-        assert breaker.state is BreakerState.CLOSED
-        assert breaker.allow(31.0)
-
-    def test_half_open_probe_failure_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=30.0)
-        breaker.record_failure(0.0)
-        assert breaker.allow(31.0)
-        breaker.record_failure(31.0)
-        assert breaker.state is BreakerState.OPEN
-        assert breaker.open_count == 2
-        assert not breaker.allow(32.0)
-
-    def test_success_resets_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure(0.0)
-        breaker.record_success()
-        breaker.record_failure(1.0)
-        assert breaker.state is BreakerState.CLOSED
-
-    def test_registry_shares_by_registered_domain(self):
-        registry = BreakerRegistry()
-        assert registry.get("www.example.com") is registry.get("example.com")
-        assert registry.get("other.com") is not registry.get("example.com")
-
-    def test_long_lived_breaker_full_cycle_across_requests(self):
-        """One breaker reused across sequential requests (the serving-
-
-        daemon pattern: a breaker lives as long as the process) walks
-        the whole closed → open → half-open → closed cycle on a shared
-        clock, and keeps working on the next incident.
-        """
-        clock = SimulatedClock()
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=30.0)
-
-        def attempt(succeeds: bool) -> str:
-            if not breaker.allow(clock.now()):
-                return "refused"
-            if succeeds:
-                breaker.record_success()
-                return "ok"
-            breaker.record_failure(clock.now())
-            return "failed"
-
-        # Healthy traffic: stays CLOSED.
-        for _ in range(5):
-            assert attempt(True) == "ok"
-            clock.advance(1.0)
-        assert breaker.state is BreakerState.CLOSED
-
-        # An incident: two failures trip it OPEN; requests during the
-        # cooldown are refused without touching the backend.
-        assert attempt(False) == "failed"
-        assert attempt(False) == "failed"
-        assert breaker.state is BreakerState.OPEN
-        clock.advance(10.0)
-        assert attempt(True) == "refused"
-
-        # Cooldown elapses: exactly one HALF_OPEN probe goes through,
-        # and its success closes the breaker for everyone.
-        clock.advance(30.0)
-        assert breaker.allow(clock.now())
-        assert breaker.state is BreakerState.HALF_OPEN
-        assert not breaker.allow(clock.now())   # concurrent request held
-        breaker.record_success()
-        assert breaker.state is BreakerState.CLOSED
-
-        # The same instance handles the *next* incident identically —
-        # no stale failure streak left behind by the first cycle.
-        for _ in range(5):
-            assert attempt(True) == "ok"
-            clock.advance(1.0)
-        assert attempt(False) == "failed"
-        assert attempt(False) == "failed"
-        assert breaker.state is BreakerState.OPEN
-        assert breaker.open_count == 2
-        clock.advance(31.0)
-        assert attempt(True) == "ok"            # half-open probe succeeds
-        assert breaker.state is BreakerState.CLOSED
-
-
 class TestExecuteWithPolicy:
     def test_first_attempt_success(self):
         out = execute_with_policy(lambda n: "ok", policy=RetryPolicy(),
@@ -246,164 +121,44 @@ class TestExecuteWithPolicy:
         assert out.status is OutcomeStatus.FAILED
         assert calls == [1, 2, 3, 4]
 
-    def test_open_breaker_short_circuits(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=60.0)
-        breaker.record_failure(0.0)
-        out = execute_with_policy(
-            lambda n: "never", policy=RetryPolicy(),
-            clock=SimulatedClock(), breaker=breaker)
-        assert out.breaker_open
-        assert out.status is OutcomeStatus.FAILED
-        assert out.attempts == 0
-        assert out.error_class == "circuit-open"
 
-    def test_deadline_stops_retries(self):
-        clock = SimulatedClock()
-
-        def attempt(n):
-            clock.advance(5.0)
-            raise ConnectTimeout("slow death")
-
-        out = execute_with_policy(
-            attempt, policy=RetryPolicy(max_attempts=10),
-            clock=clock, deadline=Deadline.after(clock, 4.0))
-        assert out.status is OutcomeStatus.FAILED
-        assert out.error_class == "deadline-exceeded"
-        assert out.attempts == 1
-
-
-def one_host_client(host, handler, **client_kwargs):
-    return HttpClient(lambda h: handler if h == host else None,
-                      **client_kwargs)
-
-
-class TestResilientClient:
-    def test_clean_fetch_is_success(self):
-        client = ResilientClient(one_host_client(
-            "e.com", lambda r: HttpResponse(body="hello")))
-        outcome = client.get("http://e.com/")
-        assert outcome.ok
-        assert outcome.status is OutcomeStatus.SUCCESS
-        assert outcome.attempts == 1
-
-    def test_5xx_retried_then_degraded(self):
-        calls = []
-
-        def handler(request):
-            calls.append(1)
-            if len(calls) < 2:
-                return HttpResponse(status=503, body="down")
-            return HttpResponse(body="up")
-
-        client = ResilientClient(one_host_client("e.com", handler))
-        outcome = client.get("http://e.com/")
-        assert outcome.status is OutcomeStatus.DEGRADED
-        assert outcome.error_class == "server-error"
-        assert outcome.response.body == "up"
-
-    def test_permanent_5xx_becomes_tombstone(self):
-        client = ResilientClient(
-            one_host_client("e.com",
-                            lambda r: HttpResponse(status=500)),
-            policy=RetryPolicy(max_attempts=3))
-        outcome = client.get("http://e.com/")
-        assert outcome.status is OutcomeStatus.FAILED
-        assert outcome.response is None
-        assert outcome.attempts == 3
-
-    def test_4xx_is_returned_not_retried(self):
-        calls = []
-
-        def handler(request):
-            calls.append(1)
-            return HttpResponse(status=403, body="Forbidden")
-
-        client = ResilientClient(one_host_client("e.com", handler))
-        outcome = client.get("http://e.com/")
-        assert outcome.status is OutcomeStatus.SUCCESS
-        assert not outcome.ok
-        assert outcome.response.status == 403
-        assert calls == [1]
-
-    def test_unresolvable_host_is_tombstone_not_raise(self):
-        client = ResilientClient(HttpClient(lambda host: None))
-        outcome = client.get("http://nowhere.invalid/")
-        assert outcome.status is OutcomeStatus.FAILED
-        assert outcome.error_class == "dns"
-
-    def test_breaker_trips_across_fetches(self):
-        client = ResilientClient(
-            HttpClient(lambda host: None),
-            policy=RetryPolicy(max_attempts=2),
-            breakers=BreakerRegistry(failure_threshold=3, cooldown=1e9))
-        for _ in range(2):
-            assert client.get("http://dead.com/").attempts == 2
-        tomb = client.get("http://dead.com/")
-        assert tomb.breaker_open
-        assert tomb.error_class == "circuit-open"
+def service(name: str):
+    return next(s for s in PARKING_SERVICES if s.name == name)
 
 
 class TestParkingCountermeasuresUnderFaults:
-    """Satellite: Section 4.2.3 paths must survive injected flakiness."""
+    """Section 4.2.3 fetches routed through injected faults and retries."""
 
-    def flaky_injector(self, failures=1):
-        return FaultInjector(FaultPlan(
-            [FaultSpec(kind=FaultKind.FLAKY, rate=1.0,
-                       flaky_failures=failures)], seed=3))
-
-    def resilient(self, domain, server, injector, **client_kwargs):
-        resolver = injector.wrap_resolver(
-            lambda h: server.handler() if h == domain else None)
-        return ResilientClient(HttpClient(resolver, **client_kwargs),
-                               clock=injector.clock,
-                               rng=random.Random(3))
-
-    def test_uniregistry_cookie_dance_survives_flakiness(self):
-        uniregistry = service("Uniregistry")
-        server = ParkedDomainServer(uniregistry, key_bits=128)
-        injector = self.flaky_injector(failures=2)
-        client = self.resilient("parked-uni.com", server, injector,
-                                max_redirects=5)
-        outcome = client.get("http://parked-uni.com/")
-        assert outcome.status is OutcomeStatus.DEGRADED
-        assert outcome.attempts == 3
-        header = outcome.response.adblock_key_header
-        assert header is not None
-        verification = verify_presented_key(
-            header, "/lander", "parked-uni.com",
-            client.client.user_agent)
-        assert verification.valid
-
-    def test_uniregistry_clean_run_still_one_attempt(self):
-        uniregistry = service("Uniregistry")
-        server = ParkedDomainServer(uniregistry, key_bits=128)
-        injector = FaultInjector(FaultPlan.uniform(0.0, seed=0))
-        client = self.resilient("parked-uni.com", server, injector)
-        outcome = client.get("http://parked-uni.com/")
-        assert outcome.status is OutcomeStatus.SUCCESS
-        assert outcome.response.adblock_key_header is not None
+    def fetch(self, domain, server, injector, **client_kwargs):
+        handler = server.handler()
+        client = HttpClient(lambda h: handler if h == domain else None,
+                            **client_kwargs)
+        outcome = execute_with_policy(
+            lambda n: injector.run(
+                domain, lambda: client.get(f"http://{domain}/")),
+            policy=RetryPolicy(), clock=injector.clock,
+            rng=random.Random(3))
+        return client, outcome
 
     def test_parkingcrew_403_for_curl_is_not_retried(self):
-        crew = service("ParkingCrew")
-        server = ParkedDomainServer(crew, key_bits=128)
+        server = ParkedDomainServer(service("ParkingCrew"), key_bits=128)
         injector = FaultInjector(FaultPlan.uniform(0.0, seed=0))
-        client = self.resilient("parked-crew.com", server, injector,
+        _, outcome = self.fetch("parked-crew.com", server, injector,
                                 user_agent=CURL_USER_AGENT)
-        outcome = client.get("http://parked-crew.com/")
         # The 403 is the server's deliberate answer — no retry, no key.
         assert outcome.attempts == 1
-        assert outcome.response.status == 403
-        assert outcome.response.adblock_key_header is None
+        assert outcome.value.status == 403
+        assert outcome.value.adblock_key_header is None
 
     def test_parkingcrew_flaky_browser_ua_yields_sitekey(self):
-        crew = service("ParkingCrew")
-        server = ParkedDomainServer(crew, key_bits=128)
-        injector = self.flaky_injector(failures=1)
-        client = self.resilient("parked-crew.com", server, injector)
-        outcome = client.get("http://parked-crew.com/")
+        server = ParkedDomainServer(service("ParkingCrew"), key_bits=128)
+        injector = FaultInjector(FaultPlan(
+            [FaultSpec(kind=FaultKind.FLAKY, rate=1.0, flaky_failures=1)],
+            seed=3))
+        client, outcome = self.fetch("parked-crew.com", server, injector)
         assert outcome.status is OutcomeStatus.DEGRADED
-        header = outcome.response.adblock_key_header
+        assert outcome.attempts == 2
+        header = outcome.value.adblock_key_header
         assert header is not None
         assert verify_presented_key(
-            header, "/", "parked-crew.com",
-            client.client.user_agent).valid
+            header, "/", "parked-crew.com", client.user_agent).valid
