@@ -5,9 +5,13 @@ at the repo root):
 
 1. **What does the daemon sustain?**  A threaded load generator drives
    the full HTTP path (admission → parse → frozen-snapshot match →
-   canonical encode) and records QPS plus p50/p95/p99 latency from the
-   daemon's own ``serve.latency_ms`` histogram
-   (:meth:`repro.obs.metrics.Histogram.percentile`).
+   canonical encode) over one keep-alive connection per client and
+   records QPS plus p50/p95/p99 latency twice: ``client_latency_ms``,
+   each request timed in the client thread from send to the last body
+   byte, and ``latency_ms``, the daemon's own ``serve.latency_ms``
+   histogram (:meth:`repro.obs.metrics.Histogram.percentile`), which
+   spans body read to response write.  The gap between the two is
+   connect, kernel and client time the daemon cannot see.
 
 2. **What does hot-reload cost the serving path?**  The same load runs
    again while a churn thread swaps snapshots through
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import threading
 import time
@@ -131,20 +136,25 @@ def _run_load(daemon: ServeDaemon, corpus: list[dict]) -> dict:
     host, port = daemon.address
     outcomes = {"served": 0, "degraded": 0, "shed": 0, "error": 0}
     epochs: set[int] = set()
+    latencies: list[float] = []
     lock = threading.Lock()
 
     def client(index: int) -> None:
         connection = http.client.HTTPConnection(host, port, timeout=60.0)
         local = {"served": 0, "degraded": 0, "shed": 0, "error": 0}
         seen: set[int] = set()
+        timings: list[float] = []
         try:
             for number in range(_REQUESTS_PER_CLIENT):
-                payload = corpus[(index + number) % len(corpus)]
+                payload = json.dumps(corpus[(index + number) % len(corpus)])
+                began = time.perf_counter()
                 connection.request(
-                    "POST", "/v1/match", body=json.dumps(payload),
+                    "POST", "/v1/match", body=payload,
                     headers={"Content-Type": "application/json"})
                 response = connection.getresponse()
-                body = json.loads(response.read())
+                raw = response.read()
+                timings.append((time.perf_counter() - began) * 1000.0)
+                body = json.loads(raw)
                 outcome = body.get("outcome", "error")
                 local[outcome if outcome in local else "error"] += 1
                 if "epoch" in body:
@@ -155,6 +165,7 @@ def _run_load(daemon: ServeDaemon, corpus: list[dict]) -> dict:
             for key, value in local.items():
                 outcomes[key] += value
             epochs.update(seen)
+            latencies.extend(timings)
 
     threads = [threading.Thread(target=client, args=(index,))
                for index in range(_CLIENTS)]
@@ -172,7 +183,17 @@ def _run_load(daemon: ServeDaemon, corpus: list[dict]) -> dict:
         "epochs_observed": len(epochs),
         "wall_clock_s": round(elapsed, 4),
         "qps": round(sent / elapsed, 1) if elapsed else 0.0,
+        "client_latency_ms": {
+            f"p{q}": round(_percentile(latencies, q), 3)
+            for q in (50, 95, 99)},
     }
+
+
+def _percentile(values: list[float], q: float) -> float:
+    """Nearest-rank percentile of raw samples."""
+    ordered = sorted(values)
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[rank - 1]
 
 
 def _phase(daemon: ServeDaemon, corpus: list[dict]) -> dict:
@@ -259,12 +280,16 @@ def test_serve_benchmark():
     print_block(
         f"serve ({payload['config']['filters']:,} filters, "
         f"{_CLIENTS} clients x {_REQUESTS_PER_CLIENT} requests):\n"
-        f"steady      {steady['qps']:,} qps  "
-        f"p50={steady['latency_ms']['p50']}ms "
-        f"p95={steady['latency_ms']['p95']}ms "
+        f"steady       {steady['qps']:,} qps  "
+        f"client p50={steady['client_latency_ms']['p50']}ms "
+        f"p95={steady['client_latency_ms']['p95']}ms "
+        f"p99={steady['client_latency_ms']['p99']}ms  "
+        f"daemon p50={steady['latency_ms']['p50']}ms "
         f"p99={steady['latency_ms']['p99']}ms\n"
         f"reload churn {reloaded['qps']:,} qps  "
-        f"p50={reloaded['latency_ms']['p50']}ms "
+        f"client p50={reloaded['client_latency_ms']['p50']}ms "
+        f"p99={reloaded['client_latency_ms']['p99']}ms  "
+        f"daemon p50={reloaded['latency_ms']['p50']}ms "
         f"p99={reloaded['latency_ms']['p99']}ms  "
         f"({reloaded['reloads']['swapped']} swaps, "
         f"{reloaded['epochs_observed']} epochs observed)\n"

@@ -1,11 +1,6 @@
 """Whitelist history substrate: revision store, generator, analyses."""
 
 from repro.history.afilters import AFilterReport, AGroup, mine_a_filters
-from repro.history.archive import (
-    ArchiveError,
-    load_repository,
-    save_repository,
-)
 from repro.history.analysis import (
     Cadence,
     GrowthPoint,
@@ -26,10 +21,7 @@ from repro.history.repository import Changeset, Repository, RepositoryError
 
 __all__ = [
     "AFilterReport",
-    "ArchiveError",
-    "load_repository",
     "monthly_activity",
-    "save_repository",
     "AGroup",
     "Cadence",
     "Changeset",

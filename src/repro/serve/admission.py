@@ -138,10 +138,12 @@ class AdmissionController:
                 self._set_gauges()
                 try:
                     # Bounded wait: a missing deadline still wakes up
-                    # periodically so drain can flush the queue.
+                    # periodically so drain can flush the queue, and a
+                    # far deadline (1e300 ms) must not overflow the
+                    # lock's timeout.
                     self._slot_freed.wait(
-                        timeout=remaining if remaining is not None
-                        else 0.1)
+                        timeout=min(remaining, threading.TIMEOUT_MAX)
+                        if remaining is not None else 0.1)
                 finally:
                     self._queued -= 1
                 if self._draining:

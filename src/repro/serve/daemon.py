@@ -19,6 +19,10 @@ layer the ROADMAP's "millions of users" north star actually needs:
   rejected and the old epoch keeps serving.
 * **Graceful drain** — SIGTERM stops admission, finishes in-flight
   requests, flushes observability exports, then exits.
+* **Client-visible latency** — every connection runs with
+  ``TCP_NODELAY``, so a keep-alive response is not held back by the
+  client's delayed ACK, and ``serve.latency_ms`` times each served
+  match from ``do_POST`` entry to the return of the response write.
 
 Endpoints::
 
@@ -38,6 +42,7 @@ enforce.
 from __future__ import annotations
 
 import json
+import math
 import signal
 import threading
 import time
@@ -71,8 +76,8 @@ class ServeConfig:
     #: Off by default; the drain/chaos tests and the load benchmark
     #: turn it on to create genuinely in-flight requests.
     allow_test_delay: bool = False
-    #: The per-request latency SLO; requests over it burn
-    #: ``serve.slo.burn{slo=latency}``.
+    #: The per-request latency SLO; served matches whose whole-request
+    #: latency is over it burn ``serve.slo.burn{slo=latency}``.
     slo_latency_ms: float = 100.0
     #: Width of the rolling window behind ``serve.window.*`` gauges.
     window_s: float = 10.0
@@ -273,6 +278,9 @@ class ServeDaemon:
         ``X-Repro-Delay-Ms`` header, gated on
         :attr:`ServeConfig.allow_test_delay`) stretches the in-slot
         service time so tests can create genuinely in-flight requests.
+        Request latency is not observed here: the handler times the
+        whole request, socket read and write included
+        (:meth:`note_served`).
         """
         start = time.monotonic()
         budget_ms = (deadline_ms if deadline_ms is not None
@@ -300,15 +308,6 @@ class ServeDaemon:
                 snapshot, requests,
                 deadline_expired=lambda: time.monotonic() >= deadline_s)
             self._count_outcome(outcome)
-            finished = time.monotonic()
-            latency_ms = (finished - start) * 1000.0
-            if OBS.enabled:
-                OBS.registry.histogram("serve.latency_ms").observe(
-                    latency_ms)
-                if latency_ms > self.config.slo_latency_ms:
-                    OBS.registry.counter("serve.slo.burn",
-                                         slo="latency").inc()
-            self._note_latency(finished, latency_ms)
             return 200, payload, {}
         finally:
             self.admission.release(decision,
@@ -351,12 +350,25 @@ class ServeDaemon:
 
     # -- rolling-window gauges (serve.window.*) ------------------------
 
-    def _note_latency(self, now: float, latency_ms: float) -> None:
+    def note_served(self, started: float) -> None:
+        """Observe one served match request that began at ``started``.
+
+        ``started`` is the handler's ``time.monotonic()`` at
+        ``do_POST`` entry, and this runs once the response write has
+        returned, so ``serve.latency_ms`` spans body read, admission,
+        parse, match, encode and socket write.  Shed and malformed
+        requests are not observed.
+        """
         if not OBS.enabled:
             return
+        finished = time.monotonic()
+        latency_ms = (finished - started) * 1000.0
+        OBS.registry.histogram("serve.latency_ms").observe(latency_ms)
+        if latency_ms > self.config.slo_latency_ms:
+            OBS.registry.counter("serve.slo.burn", slo="latency").inc()
         with self._window_lock:
-            self._window_latencies.append((now, latency_ms))
-            self._refresh_window(now)
+            self._window_latencies.append((finished, latency_ms))
+            self._refresh_window(finished)
 
     def _note_shed(self, now: float) -> None:
         if not OBS.enabled:
@@ -400,17 +412,23 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
     serve_daemon: ServeDaemon  # injected by ServeDaemon._make_server
     protocol_version = "HTTP/1.1"
+    # ``StreamRequestHandler.setup()`` sets TCP_NODELAY.  A response
+    # leaves as two writes (headers, then body); with Nagle on, the
+    # body waits for the client's delayed ACK of the headers, which
+    # costs every keep-alive request ~40 ms.
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; a serving
     # daemon under load must not.
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass
 
-    def _send(self, status: int, payload: dict,
+    def _send(self, status: int, body: bytes,
+              content_type: str = "application/json",
               headers: dict | None = None) -> None:
-        body = protocol.encode(payload)
+        """Write one response: the only writer of this handler."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
@@ -422,6 +440,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
             # counted — nothing hangs, nothing is silently dropped.
             if OBS.enabled:
                 OBS.registry.counter("serve.client_aborts").inc()
+
+    def _send_json(self, status: int, payload: dict,
+                   headers: dict | None = None) -> None:
+        self._send(status, protocol.encode(payload), headers=headers)
 
     def _read_body(self) -> bytes | None:
         """The request body, or ``None`` once a 400 has been sent.
@@ -435,11 +457,26 @@ class _ServeHandler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if length < 0:
-            self._send(*protocol.error(
+            self._send_json(*protocol.error(
                 "Content-Length must be a non-negative integer"),
                 {"Connection": "close"})
             return None
         return self.rfile.read(length) if length else b""
+
+    def _deadline_ms(self) -> float | None:
+        """The ``X-Repro-Deadline-Ms`` budget, ``None`` when absent.
+
+        Raises ``ValueError`` unless the header is a finite number
+        above zero: ``inf`` would overflow the admission wait and
+        ``nan`` would never expire.
+        """
+        header = self.headers.get("X-Repro-Deadline-Ms")
+        if not header:
+            return None
+        value = float(header)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(header)
+        return value
 
     def _test_delay_s(self) -> float:
         if not self.serve_daemon.config.allow_test_delay:
@@ -450,76 +487,63 @@ class _ServeHandler(BaseHTTPRequestHandler):
         except ValueError:
             return 0.0
 
-    def _send_text(self, status: int, text: str,
-                   content_type: str = "text/plain; version=0.0.4") -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            if OBS.enabled:
-                OBS.registry.counter("serve.client_aborts").inc()
-
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         daemon = self.serve_daemon
         path, _, query = self.path.partition("?")
         if path == "/healthz":
-            self._send(200, daemon.health())
+            self._send_json(200, daemon.health())
         elif path == "/readyz":
             if daemon.draining:
-                self._send(503, {"status": "draining"},
-                           {"Retry-After": "1"})
+                self._send_json(503, {"status": "draining"},
+                                {"Retry-After": "1"})
             else:
-                self._send(200, {"status": "ready",
-                                 "epoch": daemon.holder.current().epoch})
+                self._send_json(200, {"status": "ready",
+                                      "epoch": daemon.holder.current().epoch})
         elif path == "/metricz":
             # JSON stays the default (existing scrapers grep it); the
             # Prometheus text exposition is opt-in per scrape.
             wanted = parse_qs(query).get("format", ["json"])[-1]
             if wanted == "prometheus":
-                self._send_text(
-                    200, render_prometheus_text(OBS.registry)
-                    if OBS.enabled else "")
+                text = (render_prometheus_text(OBS.registry)
+                        if OBS.enabled else "")
+                self._send(200, text.encode("utf-8"),
+                           "text/plain; version=0.0.4")
             else:
-                self._send(200, daemon.metrics())
+                self._send_json(200, daemon.metrics())
         else:
-            self._send(*protocol.error(f"no such path {self.path!r}",
-                                       status=404))
+            self._send_json(*protocol.error(f"no such path {self.path!r}",
+                                            status=404))
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
+        started = time.monotonic()
         daemon = self.serve_daemon
         if OBS.enabled:
             OBS.registry.counter("serve.requests",
                                  route=self.path).inc()
+        # Every route reads its body before answering, so a refused
+        # request leaves the keep-alive stream framed for the next one.
+        body = self._read_body()
+        if body is None:
+            return
         if self.path == "/v1/match":
-            deadline_header = self.headers.get("X-Repro-Deadline-Ms")
-            deadline_ms: float | None = None
-            if deadline_header:
-                try:
-                    deadline_ms = float(deadline_header)
-                except ValueError:
-                    self._send(*protocol.error(
-                        "X-Repro-Deadline-Ms must be a number"))
-                    return
-            body = self._read_body()
-            if body is None:
+            try:
+                deadline_ms = self._deadline_ms()
+            except ValueError:
+                self._send_json(*protocol.error(
+                    "X-Repro-Deadline-Ms must be a finite number > 0"))
                 return
             status, payload, headers = daemon.handle_match(
                 body, deadline_ms, test_delay_s=self._test_delay_s())
-            self._send(status, payload, headers)
+            self._send_json(status, payload, headers)
+            if status == 200:
+                daemon.note_served(started)
         elif self.path == "/admin/reload":
             if daemon.draining:
-                self._send(503, {"status": "draining"},
-                           {"Retry-After": "1"})
-                return
-            body = self._read_body()
-            if body is None:
+                self._send_json(503, {"status": "draining"},
+                                {"Retry-After": "1"})
                 return
             status, payload = daemon.handle_reload(body)
-            self._send(status, payload)
+            self._send_json(status, payload)
         else:
-            self._send(*protocol.error(f"no such path {self.path!r}",
-                                       status=404))
+            self._send_json(*protocol.error(f"no such path {self.path!r}",
+                                            status=404))

@@ -11,7 +11,9 @@ finishes in-flight work while refusing new work with 503.
 import http.client
 import json
 import socket
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -181,6 +183,112 @@ class TestShedding:
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"Connection: close" in head
         assert json.loads(body)["outcome"] == "error"
+
+def occupy(daemon, delay_ms: int) -> threading.Thread:
+    """Hold the daemon's only slot with one delayed in-flight match."""
+    thread = threading.Thread(target=request, args=(
+        daemon, "POST", "/v1/match", MATCH),
+        kwargs={"headers": {"X-Repro-Delay-Ms": str(delay_ms)}})
+    thread.start()
+    for _ in range(250):
+        if daemon.admission.inflight == 1:
+            break
+        threading.Event().wait(0.02)
+    assert daemon.admission.inflight == 1
+    return thread
+
+
+class TestDeadlineHeader:
+    """``X-Repro-Deadline-Ms`` must be finite and > 0, checked before
+    admission: on a saturated daemon ``inf`` used to kill the handler
+    thread (the admission wait overflowed) and ``nan`` never expired."""
+
+    @pytest.fixture
+    def saturated(self):
+        instance = make_daemon(max_inflight=1, max_queue=4,
+                               allow_test_delay=True)
+        instance.start()
+        occupant = occupy(instance, 800)
+        yield instance
+        occupant.join(timeout=30.0)
+        instance.stop()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+    def test_out_of_range_deadline_is_400(self, saturated, value):
+        status, raw, _ = request(saturated, "POST", "/v1/match", MATCH,
+                                 headers={"X-Repro-Deadline-Ms": value},
+                                 timeout=5.0)
+        assert status == 400
+        assert json.loads(raw)["outcome"] == "error"
+
+    def test_far_deadline_queues_and_is_served(self, saturated):
+        status, raw, _ = request(saturated, "POST", "/v1/match", MATCH,
+                                 headers={"X-Repro-Deadline-Ms": "1e300"},
+                                 timeout=5.0)
+        assert status == 200
+        assert json.loads(raw)["outcome"] == "served"
+
+    def test_tiny_deadline_is_shed_before_queueing(self, saturated):
+        # The chaos harness's ``tiny-deadline`` client sends 0.001 ms.
+        status, raw, _ = request(saturated, "POST", "/v1/match", MATCH,
+                                 headers={"X-Repro-Deadline-Ms": "0.001"},
+                                 timeout=5.0)
+        assert status == 429
+        assert json.loads(raw)["reason"] == "deadline-hopeless"
+
+
+class TestKeepAliveLatency:
+    """Sequential requests on one keep-alive connection must finish
+    well under the ~40 ms a client's delayed ACK adds when Nagle holds
+    back the response body behind its headers."""
+
+    @pytest.mark.parametrize("method, path, payload", [
+        ("POST", "/v1/match", MATCH),
+        ("GET", "/metricz?format=prometheus", None),
+    ])
+    def test_median_request_beats_delayed_ack_floor(self, method, path,
+                                                    payload):
+        body = json.dumps(payload).encode() if payload else None
+        with observe():          # a non-empty Prometheus body
+            instance = make_daemon()
+            instance.start()
+            connection = http.client.HTTPConnection(*instance.address,
+                                                    timeout=10.0)
+            elapsed = []
+            try:
+                for _ in range(40):
+                    began = time.perf_counter()
+                    connection.request(method, path, body=body)
+                    response = connection.getresponse()
+                    raw = response.read()
+                    elapsed.append(time.perf_counter() - began)
+                    assert response.status == 200 and raw
+            finally:
+                connection.close()
+                instance.stop()
+        assert statistics.median(elapsed) * 1000.0 < 20.0
+
+
+class TestKeepAliveFraming:
+    @pytest.mark.parametrize("path, headers", [
+        ("/nope", {}),
+        ("/v1/match", {"X-Repro-Deadline-Ms": "soon"}),
+    ])
+    def test_refused_post_leaves_the_next_request_answerable(
+            self, daemon, path, headers):
+        connection = http.client.HTTPConnection(*daemon.address,
+                                                timeout=5.0)
+        try:
+            connection.request("POST", path, body=json.dumps(MATCH),
+                               headers=headers)
+            response = connection.getresponse()
+            response.read()
+            assert response.status in (400, 404)
+            connection.request("GET", "/readyz")
+            assert connection.getresponse().status == 200
+        finally:
+            connection.close()
+
 
 class TestHealth:
     def test_healthz_reports_epoch_and_reload_state(self, daemon):
