@@ -12,18 +12,19 @@ figure/table statistics):
   instrumentation site (``OBS.enabled``, ``OBS.timeseries.enabled``,
   ``OBS.flight.enabled``), which is far below timer noise for a
   pipeline of seconds.  We bound it by *projection*: time the guard
-  checks in a tight loop, count how often the pipeline evaluates
-  guards (every enabled-run counter increment implies at least one
-  guard evaluation, so the enabled run's total event count is a
-  conservative over-estimate), and divide by the disabled pipeline
-  time.
+  checks in a tight loop, count the checks one disabled pipeline run
+  makes (every read of an ``OBS`` attribute, see
+  :func:`_guard_check_count`), and divide by the disabled pipeline
+  time.  The count is of checks executed, not of what the enabled
+  run records: one guarded ``inc(600)`` is one check.
 
 A further assertion checks the other half of the contract: enabled and
 disabled runs produce *identical* analysis results (docs/OBSERVABILITY.md).
 
 The deterministic section of the emitted artifact
-(``BENCH_obs_overhead_quick.json`` under ``BENCH_QUICK=1``) — event
-count and simulated-clock sample count, pure functions of the workload
+(``BENCH_obs_overhead_quick.json`` under ``BENCH_QUICK=1``) — guard
+check count and simulated-clock sample count, pure functions of the
+workload
 — is diffed against the committed baseline by the CI perf gate.
 
 Run standalone::
@@ -49,6 +50,7 @@ from repro.measurement.survey import SurveyConfig, run_survey
 from repro.obs import (
     OBS,
     FlightRecorder,
+    ObsState,
     RotatingJsonlExporter,
     TimeSeriesSampler,
     observe,
@@ -132,15 +134,34 @@ def _guard_check_cost(iterations: int = 2_000_000) -> float:
     return max(elapsed - bare, elapsed / 10) / (iterations * 3)
 
 
-def _enabled_event_count() -> int:
-    """Counter increments in one enabled pipeline run (>= guard evals)."""
-    with observe() as (registry, _):
+class _CountingObsState(ObsState):
+    """``ObsState`` that counts every attribute read made on it."""
+
+    __slots__ = ()
+    reads = 0
+
+    def __getattribute__(self, name: str):
+        _CountingObsState.reads += 1
+        return object.__getattribute__(self, name)
+
+
+def _guard_check_count() -> int:
+    """Guard checks one disabled pipeline run executes.
+
+    Every instrumentation site starts with one read of an ``OBS``
+    attribute: a guard (``OBS.enabled``, ``OBS.timeseries.enabled``)
+    or the null object it calls through (``OBS.tracer``).  For one run
+    ``OBS`` is switched to a subclass that counts those reads, so the
+    count is of checks the disabled pipeline really makes.
+    """
+    assert not OBS.enabled
+    _CountingObsState.reads = 0
+    OBS.__class__ = _CountingObsState
+    try:
         pipeline()
-        counters = sum(int(m.value) for m in registry.samples()
-                       if m.kind == "counter")
-        histograms = sum(m.count for m in registry.samples()
-                         if m.kind == "histogram")
-    return counters + histograms
+    finally:
+        OBS.__class__ = ObsState
+    return _CountingObsState.reads
 
 
 def _telemetry_run(directory: str) -> tuple[float, int, int]:
@@ -226,9 +247,9 @@ def run_benchmark(repeats: int = 3) -> dict:
     # below the margin being asserted.
     _baseline, telemetry, telemetry_ratio, samples, flight_events = \
         _telemetry_stage(repeats * 2)
-    events = _enabled_event_count()
+    checks = _guard_check_count()
     guard_cost = _guard_check_cost()
-    projected_disabled = guard_cost * events / disabled
+    projected_disabled = guard_cost * checks / disabled
     return {
         "disabled_s": disabled,
         "enabled_s": enabled,
@@ -237,7 +258,7 @@ def run_benchmark(repeats: int = 3) -> dict:
         "telemetry_ratio": telemetry_ratio,
         "timeseries_samples": samples,
         "flight_events": flight_events,
-        "events": events,
+        "guard_checks": checks,
         "guard_ns": guard_cost * 1e9,
         "projected_disabled_overhead": projected_disabled,
     }
@@ -265,7 +286,7 @@ def test_obs_overhead_bounds():
         # Pure functions of the workload — the CI perf gate diffs
         # these against the committed baseline with zero tolerance.
         "determinism": {
-            "events": result["events"],
+            "guard_checks": result["guard_checks"],
             "timeseries_samples": result["timeseries_samples"],
             "flight_events": result["flight_events"],
         },
@@ -282,7 +303,7 @@ def test_obs_overhead_bounds():
         f"(ratio {result['telemetry_ratio']:.3f}x over enabled, "
         f"{result['timeseries_samples']} samples, "
         f"{result['flight_events']} flight events); "
-        f"{result['events']:,} instrumentation events, "
+        f"{result['guard_checks']:,} guard checks, "
         f"guard check {result['guard_ns']:.1f} ns, "
         f"projected disabled overhead "
         f"{result['projected_disabled_overhead']:.2%}\n"

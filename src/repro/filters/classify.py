@@ -26,7 +26,7 @@ from typing import Iterable
 
 from repro.filters.filterlist import FilterList
 from repro.filters.parser import ElementFilter, Filter, RequestFilter
-from repro.web.url import registered_domain
+from repro.web.url import is_subdomain_of, registered_domain
 
 __all__ = [
     "ScopeClass",
@@ -110,8 +110,6 @@ class ScopeReport:
 
     def subdomain_count(self, parent: str) -> int:
         """How many whitelisted FQDs fall under ``parent`` (e.g. about.com)."""
-        from repro.web.url import is_subdomain_of
-
         return sum(1 for d in self.fq_domains if is_subdomain_of(d, parent))
 
 

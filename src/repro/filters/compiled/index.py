@@ -28,6 +28,20 @@ differential-fuzz suite (``tests/filters/test_compiled_fuzz.py``) holds
 this equivalence against the legacy ``FilterIndex``, which stays as the
 oracle.
 
+Matching (:meth:`CompiledFilterIndex.match_all` / ``match_first``) does
+not evaluate that whole sequence.  Compilation also splits the fallback
+bucket by :class:`~repro.filters.options.ContentType` member: each
+member's **typed fallback** holds only the fallback filters whose
+effective mask includes it, in insertion order.  A request reads its
+hit buckets whole and then its type's fallback, so a script request
+never evaluates the hundreds of ``$image``-only fallback filters; the
+candidates it does evaluate keep the sequence's order, and
+``RequestFilter.matches`` still runs every check.  A content type that
+is not a single member (a flag combination, only possible through the
+Python API) reads the whole fallback.  The typed fallbacks are built
+once, eagerly, and never change, so a compiled index stays safe to
+share between threads.
+
 Non-ASCII URLs take a conservative detour through the legacy string
 tokeniser: ``str.lower()`` can fold non-ASCII code points *into* ASCII
 (``'K'.lower() == 'k'``), so byte-level lowercasing of such URLs
@@ -113,7 +127,8 @@ class CompiledFilterIndex:
     """
 
     __slots__ = ("name", "_keywords", "_buckets", "_fallback",
-                 "_kwset", "_single", "_raw", "_bucket_of", "_count")
+                 "_kwset", "_single", "_raw", "_bucket_of", "_count",
+                 "_typed_fallback")
 
     def __init__(self, *, name: str,
                  keywords: tuple[str, ...],
@@ -142,6 +157,14 @@ class CompiledFilterIndex:
                            for flt in bucket}
         self._bucket_of.update((id(flt), -1) for flt in fallback)
         self._count = sum(map(len, buckets)) + len(fallback)
+        # Matching reads the fallback of the request's content type:
+        # each ContentType member's value maps to the fallback filters
+        # whose mask includes it, in insertion order.
+        masks = [flt.options.effective_mask_int() for flt in fallback]
+        self._typed_fallback = {
+            member.value: tuple(flt for flt, mask in zip(fallback, masks)
+                                if mask & member.value)
+            for member in ContentType}
 
     # -- construction --------------------------------------------------
 
@@ -208,24 +231,27 @@ class CompiledFilterIndex:
         """
         if OBS.enabled:
             return self._instrumented_candidates(url)
-        if url.isascii():
-            toks = url.encode("ascii").translate(TOKEN_TABLE).split()
-            hits = self._kwset.intersection(toks)
-        else:
-            toks = [token.encode("ascii")
-                    for token in _url_tokens(url)]
-            hits = self._kwset.intersection(toks)
+        toks, hits = self._probe(url)
         if not hits:
             return self._fallback
         if len(hits) == 1:
             # ``hits`` is a fresh mutable set; pop() beats building an
             # iterator just to read the lone element.
             return self._single[hits.pop()]
-        return self._multi_hit(toks, hits)
+        return self._multi_hit(toks, hits, self._fallback)
 
-    def _multi_hit(self, toks: Sequence[bytes],
-                   pending: set[bytes]) -> Sequence[RequestFilter]:
-        """Assemble a multi-bucket answer in first-occurrence order."""
+    def _probe(self, url: str) -> tuple[Sequence[bytes], set[bytes]]:
+        """The URL's tokens, and the (fresh, mutable) set of its keywords."""
+        if url.isascii():
+            toks = url.encode("ascii").translate(TOKEN_TABLE).split()
+        else:
+            toks = [token.encode("ascii") for token in _url_tokens(url)]
+        return toks, self._kwset.intersection(toks)
+
+    def _multi_hit(self, toks: Sequence[bytes], pending: set[bytes],
+                   fallback: tuple[RequestFilter, ...]
+                   ) -> Sequence[RequestFilter]:
+        """Hit buckets in first-occurrence order, then ``fallback``."""
         parts: list[tuple[RequestFilter, ...]] = []
         raw = self._raw
         for token in toks:
@@ -234,15 +260,31 @@ class CompiledFilterIndex:
                 parts.append(raw[token])
                 if not pending:
                     break
-        parts.append(self._fallback)
+        parts.append(fallback)
         return _MultiCandidates(tuple(parts))
 
     def _instrumented_candidates(self, url: str) -> Sequence[RequestFilter]:
-        """:meth:`candidates` plus ``filters.index.*`` accounting.
+        """:meth:`candidates` plus ``filters.index.*`` accounting."""
+        order = self._recorded_probe(url)
+        raw = self._raw
+        if not order:
+            return self._fallback
+        if len(order) == 1:
+            return self._single[order[0]]
+        out: list[RequestFilter] = []
+        for token in order:
+            out.extend(raw[token])
+        out.extend(self._fallback)
+        return out
+
+    def _recorded_probe(self, url: str) -> list[bytes]:
+        """The hit tokens in first-occurrence order, probe counters recorded.
 
         Probes the *identical* bucket sequence as the fast path (same
-        driver, same ordering); ``bucket_misses`` counts distinct
-        keyword-eligible tokens (length >= 3) absent from the index.
+        driver, same ordering) and counts it against the *unsplit*
+        index, whatever fallback the caller then reads;
+        ``bucket_misses`` counts distinct keyword-eligible tokens
+        (length >= 3) absent from the index.
         """
         if url.isascii():
             raw_tokens = url.encode("ascii").translate(TOKEN_TABLE).split()
@@ -265,17 +307,33 @@ class CompiledFilterIndex:
         if self._fallback:
             reg.counter("filters.index.fallback_scanned").inc(
                 len(self._fallback))
-        if not order:
-            return self._fallback
-        if len(order) == 1:
-            return self._single[order[0]]
-        out: list[RequestFilter] = []
-        for token in order:
-            out.extend(raw[token])
-        out.extend(self._fallback)
-        return out
+        return order
 
     # -- matching ------------------------------------------------------
+
+    def _typed_candidates(self, url: str,
+                          content_type: ContentType
+                          ) -> Sequence[RequestFilter]:
+        """:meth:`candidates` with the fallback of ``content_type`` only.
+
+        The hit buckets are read whole; the fallback keeps only the
+        filters whose mask includes ``content_type`` (all of them when
+        it is not a single member, e.g. a flag combination), order
+        otherwise unchanged.
+        """
+        fallback = self._typed_fallback.get(content_type, self._fallback)
+        if OBS.enabled:
+            raw = self._raw
+            found = _MultiCandidates(
+                (*(raw[token] for token in self._recorded_probe(url)),
+                 fallback))
+            OBS.registry.counter("filters.index.candidates_evaluated").inc(
+                len(found))
+            return found
+        toks, hits = self._probe(url)
+        if not hits:
+            return fallback
+        return self._multi_hit(toks, hits, fallback)
 
     def match_first(
         self,
@@ -287,7 +345,7 @@ class CompiledFilterIndex:
         sitekey: str | None = None,
     ) -> RequestFilter | None:
         """First matching filter, or ``None``."""
-        for flt in self.candidates(url):
+        for flt in self._typed_candidates(url, content_type):
             if flt.matches(url, content_type, page_host, request_host,
                            sitekey=sitekey):
                 return flt
@@ -305,7 +363,7 @@ class CompiledFilterIndex:
         """Every matching filter (the survey records all activations)."""
         return [
             flt
-            for flt in self.candidates(url)
+            for flt in self._typed_candidates(url, content_type)
             if flt.matches(url, content_type, page_host, request_host,
                            sitekey=sitekey)
         ]

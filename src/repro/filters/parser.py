@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from repro.filters import options as _options
 from repro.filters.options import (
     ContentType,
     FilterOptions,
@@ -169,13 +170,16 @@ class RequestFilter(Filter):
     ) -> bool:
         """Full ABP match: type mask, pattern, domain, party, sitekey.
 
-        Checks are ordered cheapest-reject first: the integer mask test
-        and the C-level regex eliminate almost all candidates before any
-        Python-level domain or party logic runs — this ordering is what
-        keeps a full-survey run fast.
+        Checks are ordered cheapest-reject first: the integer mask test,
+        then the C-level regex, before any Python-level domain or party
+        logic runs.  A frozen engine's compiled index already drops the
+        fallback filters whose mask excludes the request's content type
+        before calling this (its typed fallbacks), which used to be most
+        of what the mask test rejected, so the regex now rejects most
+        candidates that reach here.  The mask test stays: keyword-bucket
+        filters, the legacy index and flag-combination content types
+        still arrive unfiltered.
         """
-        from repro.web.url import is_third_party
-
         options = self.options
         if not options.effective_mask_int() & int(content_type):
             return False
@@ -186,7 +190,7 @@ class RequestFilter(Filter):
             if not options.applies_on_domain(page_host):
                 return False
         if options.third_party is not TriState.UNSET:
-            third = is_third_party(request_host, page_host)
+            third = _is_third_party(request_host, page_host)
             if options.third_party is TriState.YES and not third:
                 return False
             if options.third_party is TriState.NO and third:
@@ -219,14 +223,26 @@ class ElementFilter(Filter):
         return self.domains_include
 
     def applies_on_domain(self, page_host: str) -> bool:
-        from repro.web.url import is_subdomain_of
-
         host = page_host.lower()
+        # Through the module: its stub rebinds itself on first call.
+        is_subdomain_of = _options._is_subdomain_of
         if any(is_subdomain_of(host, d) for d in self.domains_exclude):
             return False
         if self.domains_include:
             return any(is_subdomain_of(host, d) for d in self.domains_include)
         return True
+
+
+def _is_third_party(request_host: str, page_host: str) -> bool:
+    """:func:`repro.web.url.is_third_party`, bound on the first call.
+
+    Same import cycle and remedy as
+    :func:`repro.filters.options._is_subdomain_of`.
+    """
+    global _is_third_party
+    from repro.web.url import is_third_party
+    _is_third_party = is_third_party
+    return is_third_party(request_host, page_host)
 
 
 @dataclass(frozen=True, slots=True)

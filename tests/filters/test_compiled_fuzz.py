@@ -8,7 +8,13 @@ index must keep:
 * **byte-identical ordering** — the compiled candidate *sequence*
   equals the legacy index's, element for element;
 * **verdict parity** — ``match_first`` returns the identical filter
-  object and ``match_all`` the identical list.
+  object and ``match_all`` the identical list, for a content type drawn
+  from every ``ContentType`` member (privilege and deprecated types
+  included) plus flag combinations, so the compiled index's typed
+  fallbacks and its whole fallback are both exercised; every pair also
+  checks ``match_first`` under ``IMAGE`` and ``match_all`` under
+  ``SCRIPT``.  The parity pass runs twice: bare, and inside
+  ``observe()`` (the serving daemon's instrumented path).
 
 Everything is derived from one fixed seed, so a failure reproduces
 exactly; bump ``FUZZ_SEED`` locally to explore a different corpus.
@@ -20,6 +26,7 @@ from repro.filters.compiled.index import CompiledFilterIndex
 from repro.filters.index import FilterIndex
 from repro.filters.options import ContentType
 from repro.filters.parser import RequestFilter, parse_filter
+from repro.obs import observe
 
 FUZZ_SEED = 20150
 
@@ -31,7 +38,19 @@ TLDS = ["com", "net", "org", "example", "co.uk"]
 PATH_WORDS = ["banner", "ads", "img", "js", "frame", "track", "a", "xy",
               "advert", "%2fads", "1x1", "320x50", "ADS", "Pixel"]
 OPTIONS = ["", "$third-party", "$script", "$image,third-party",
-           "$domain=example.com", "$~image"]
+           "$domain=example.com", "$~image", "$subdocument",
+           "$document", "$elemhide", "$document,elemhide",
+           "$script,stylesheet", "$~script,~subdocument",
+           "$xmlhttprequest,other", "$object,object-subrequest",
+           "$background", "$ping,dtd", "$xbl"]
+
+#: Every member, plus combinations only the Python API can pass; these
+#: take the compiled index's whole fallback.
+CONTENT_TYPES = list(ContentType) + [
+    ContentType.SCRIPT | ContentType.IMAGE,
+    ContentType.DOCUMENT | ContentType.ELEMHIDE,
+    ContentType.SUBDOCUMENT | ContentType.PING,
+]
 
 
 def _filter_text(rng: random.Random) -> str:
@@ -54,11 +73,19 @@ def _filter_text(rng: random.Random) -> str:
     return f"{prefix}|http://{host}/{path}|"
 
 
-def _url(rng: random.Random) -> str:
-    host = (rng.choice(HOST_WORDS) + rng.choice(["", "-x"])
-            + "." + rng.choice(TLDS))
+def _url(rng: random.Random, list_hosts: list[str],
+         list_paths: list[str]) -> str:
     segments = [rng.choice(PATH_WORDS + HOST_WORDS)
                 for _ in range(rng.randrange(0, 4))]
+    if list_hosts and list_paths and rng.random() < 0.4:
+        # One of the list's own ``||host`` anchors plus two of its
+        # ``path^`` bodies: URLs that hit several keyword buckets and
+        # match filters from more than one, so the order of the
+        # evaluated candidates is exercised, not only their membership.
+        return (f"http://{rng.choice(list_hosts)}/{rng.choice(list_paths)}"
+                f"/{rng.choice(list_paths)}/")
+    host = (rng.choice(HOST_WORDS) + rng.choice(["", "-x"])
+            + "." + rng.choice(TLDS))
     url = f"http://{host}/" + "/".join(segments)
     roll = rng.random()
     if roll < 0.05:
@@ -80,7 +107,15 @@ def _build_corpus(seed: int, lists: int, urls_per_list: int):
         if not filters:
             continue
         rng.shuffle(filters)
-        urls = [_url(rng) for _ in range(urls_per_list)]
+        list_hosts = sorted({flt.pattern.anchored_hostname
+                             for flt in filters
+                             if flt.pattern is not None
+                             and flt.pattern.anchored_hostname})
+        list_paths = sorted({flt.pattern_text[:-1] for flt in filters
+                             if flt.pattern_text[:1].isalnum()
+                             and flt.pattern_text.endswith("^")})
+        urls = [_url(rng, list_hosts, list_paths)
+                for _ in range(urls_per_list)]
         yield filters, urls
 
 
@@ -88,15 +123,17 @@ class TestDifferentialFuzz:
     LISTS = 60
     URLS_PER_LIST = 180      # 60 x 180 >= 10,800 (filter list, URL) pairs
 
-    def test_compiled_equals_legacy_on_10k_pairs(self):
+    def _fuzz(self) -> tuple[int, list]:
         pairs = 0
         mismatches = []
+        type_rng = random.Random(FUZZ_SEED + 2)
         for filters, urls in _build_corpus(FUZZ_SEED, self.LISTS,
                                            self.URLS_PER_LIST):
             legacy = FilterIndex(filters)
             compiled = CompiledFilterIndex.compile(legacy)
             for url in urls:
                 pairs += 1
+                content_type = type_rng.choice(CONTENT_TYPES)
                 legacy_seq = list(legacy.candidates(url))
                 compiled_seq = list(compiled.candidates(url))
                 if compiled_seq != legacy_seq:
@@ -105,23 +142,37 @@ class TestDifferentialFuzz:
                                        [f.text for f in compiled_seq]))
                     continue
                 host = url.split("/")[2].lower()
-                matching = [flt for flt in filters
-                            if flt.matches(url, ContentType.IMAGE,
-                                           "page.example", host)]
+                args = (url, content_type, "page.example", host)
+                matching = [flt for flt in filters if flt.matches(*args)]
                 candidate_ids = {id(flt) for flt in compiled_seq}
                 if not all(id(flt) in candidate_ids for flt in matching):
                     mismatches.append(("completeness", url,
                                        [f.text for f in matching], None))
-                if (legacy.match_first(url, ContentType.IMAGE,
-                                       "page.example", host)
-                        is not compiled.match_first(url, ContentType.IMAGE,
-                                                    "page.example", host)):
-                    mismatches.append(("match_first", url, None, None))
-                if (legacy.match_all(url, ContentType.SCRIPT,
-                                     "page.example", host)
-                        != compiled.match_all(url, ContentType.SCRIPT,
-                                              "page.example", host)):
-                    mismatches.append(("match_all", url, None, None))
+                # The drawn type under both methods, plus the two types
+                # whose typed fallbacks differ most on every pair.
+                for method, ctype in (("match_first", content_type),
+                                      ("match_all", content_type),
+                                      ("match_first", ContentType.IMAGE),
+                                      ("match_all", ContentType.SCRIPT)):
+                    call = (url, ctype, "page.example", host)
+                    want = getattr(legacy, method)(*call)
+                    got = getattr(compiled, method)(*call)
+                    if method == "match_first":
+                        want, got = [want], [got]
+                    if (len(want) != len(got)
+                            or not all(a is b for a, b in zip(want, got))):
+                        mismatches.append((method, url, ctype,
+                                           [f and f.text for f in got]))
+        return pairs, mismatches
+
+    def test_compiled_equals_legacy_on_10k_pairs(self):
+        pairs, mismatches = self._fuzz()
+        assert pairs >= 10_000, f"corpus too small: {pairs} pairs"
+        assert not mismatches, mismatches[:5]
+
+    def test_compiled_equals_legacy_when_observed(self):
+        with observe():
+            pairs, mismatches = self._fuzz()
         assert pairs >= 10_000, f"corpus too small: {pairs} pairs"
         assert not mismatches, mismatches[:5]
 

@@ -101,6 +101,34 @@ class TestCompiledIndexInstrumentation:
         assert flat["filters.index.bucket_misses"] == 3
         assert flat["filters.index.fallback_scanned"] == 1
 
+    def test_candidates_evaluated_counts_the_typed_fallback(self):
+        engine = AdblockEngine()
+        engine.subscribe(parse_filter_list(
+            "||adzerk.net^\n"              # keyword bucket, every type
+            "/banner[0-9]+/$image\n"       # fallback, image only
+            "/popup[0-9]+/$script\n"       # fallback, script only
+            "/track[0-9]+/\n",             # fallback, every type
+            name="blocking"))
+        engine.freeze()
+        with observe() as (registry, _):
+            engine.check_request("http://adzerk.net/x.gif",
+                                 ContentType.IMAGE, "news.example",
+                                 "adzerk.net")
+        flat = registry.flat()
+        # Unsplit: adzerk's bucket + all three fallback filters.
+        assert flat["filters.index.candidates_yielded"] == 4
+        # The image fallback drops the script-only filter.
+        assert flat["filters.index.candidates_evaluated"] == 3
+        with observe() as (registry, _):
+            engine.check_request("http://cdn.example/app.js",
+                                 ContentType.SCRIPT, "news.example",
+                                 "cdn.example")
+        flat = registry.flat()
+        assert flat["filters.index.candidates_yielded"] == 3
+        assert flat["filters.index.candidates_evaluated"] == 2
+        # Blocking plus the (empty) exception index, once each.
+        assert flat["filters.index.probes"] == 2
+
     def test_artifact_load_events(self, tmp_path):
         from repro.serve.reload import (build_snapshot_from_sources,
                                         persist_snapshot_artifact)
