@@ -16,9 +16,10 @@ remaining costs:
 * **per-candidate generator machinery** — ``candidates()`` was a
   generator resuming once per yielded filter, which dominates when the
   fallback bucket is large (the synthetic EasyList routes ~25% of its
-  filters there).  The compiled index returns *prebuilt tuples*:
-  the zero-hit answer is one shared ``fallback`` tuple, a single-hit
-  answer is the bucket's precomputed ``bucket + fallback`` tuple.
+  filters there).  The compiled index returns tuples: the zero-hit
+  answer is one shared ``fallback`` tuple, a single-hit answer the
+  bucket's ``bucket + fallback`` tuple, built on the first probe that
+  needs it and kept (``_single``; matching never reads it).
 
 The candidate *sequence* is byte-identical to the legacy index's:
 distinct URL tokens in first-occurrence order select buckets (bucket
@@ -38,9 +39,24 @@ never evaluates the hundreds of ``$image``-only fallback filters; the
 candidates it does evaluate keep the sequence's order, and
 ``RequestFilter.matches`` still runs every check.  A content type that
 is not a single member (a flag combination, only possible through the
-Python API) reads the whole fallback.  The typed fallbacks are built
-once, eagerly, and never change, so a compiled index stays safe to
-share between threads.
+Python API) reads the whole fallback.
+
+Nor does matching evaluate every filter of those buckets.  Each filter's
+**required tokens** (:func:`~repro.filters.pattern.required_tokens`:
+every keyword candidate of an ordinary pattern, the inner tokens of a
+literal ``/.../`` body) must all be tokens of any URL it matches, so a
+candidate whose set is not a subset of the URL's token set is skipped
+before ``RequestFilter.matches``.  Sets are interned, and a bucket is
+stored as *runs* of consecutive filters sharing one set, so the 500
+``/banner-zone-N/$image`` fallback filters cost one subset test.  What
+is skipped cannot match, so the matches and their order are unchanged.
+The typed fallbacks and their runs are built at compile time; a keyword
+bucket's runs on the first probe that hits it (most never are).
+
+A compiled index is safe to share between threads: after compilation
+the only writes are those two fills (``_runs``, ``_single``), each one
+dict store of a value computed from immutable data, so two threads
+racing on one key at worst build equal values twice.
 
 Non-ASCII URLs take a conservative detour through the legacy string
 tokeniser: ``str.lower()`` can fold non-ASCII code points *into* ASCII
@@ -66,6 +82,7 @@ from typing import Iterator, Sequence
 from repro.filters.index import FilterIndex, _url_tokens
 from repro.filters.options import ContentType
 from repro.filters.parser import RequestFilter
+from repro.filters.pattern import required_tokens
 from repro.obs import OBS
 
 __all__ = ["CompiledFilterIndex", "TOKEN_TABLE"]
@@ -115,6 +132,26 @@ class _MultiCandidates:
         return self._length
 
 
+#: A run: consecutive filters of one bucket that share a required-token
+#: set (``None``: no tokens required).
+_Run = tuple[frozenset[bytes] | None, tuple[RequestFilter, ...]]
+
+
+def _runs(filters: tuple[RequestFilter, ...],
+          needs: Sequence[frozenset[bytes] | None]) -> tuple[_Run, ...]:
+    """Split ``filters`` into runs of equal (interned) ``needs``."""
+    runs = []
+    start = 0
+    for end in range(1, len(filters)):
+        if needs[end] is not needs[start]:
+            runs.append((needs[start], filters[start:end]))
+            start = end
+    if filters:
+        # A bucket that is one run keeps its own tuple: t[0:] is t.
+        runs.append((needs[start], filters[start:]))
+    return tuple(runs)
+
+
 class CompiledFilterIndex:
     """Read-only keyword index: keyword set + prebuilt bucket tuples.
 
@@ -128,7 +165,8 @@ class CompiledFilterIndex:
 
     __slots__ = ("name", "_keywords", "_buckets", "_fallback",
                  "_kwset", "_single", "_raw", "_bucket_of", "_count",
-                 "_typed_fallback")
+                 "_interned", "_runs", "_typed_fallback",
+                 "_whole_fallback")
 
     def __init__(self, *, name: str,
                  keywords: tuple[str, ...],
@@ -144,27 +182,52 @@ class CompiledFilterIndex:
         # A plain set (not frozenset): ``set.intersection`` then returns
         # a mutable set the multi-hit assembler can drain in place.
         self._kwset = set(encoded)
-        # Single-hit probes (the overwhelmingly common non-empty case)
-        # return one precomputed ``bucket + fallback`` tuple: memory is
-        # O(buckets x fallback) pointers, traded for zero per-probe
-        # concatenation.  ``_raw`` keeps the bare buckets for the rare
-        # multi-hit assembly.
-        self._single = {token: bucket + fallback
-                        for token, bucket in zip(encoded, buckets)}
+        # ``_raw`` keeps the bare buckets; ``_single`` caches a
+        # single-hit ``candidates()`` answer per token on first use.
         self._raw = dict(zip(encoded, buckets))
+        self._single: dict[bytes, tuple[RequestFilter, ...]] = {}
         self._bucket_of = {id(flt): kid
                            for kid, bucket in enumerate(buckets)
                            for flt in bucket}
         self._bucket_of.update((id(flt), -1) for flt in fallback)
         self._count = sum(map(len, buckets)) + len(fallback)
+        # Runs of filters sharing one required-token set: a keyword
+        # bucket's on the first probe that hits it, the fallback's now.
+        self._interned: dict[frozenset[bytes], frozenset[bytes]] = {}
+        self._runs: dict[bytes, tuple[_Run, ...]] = {}
+        fallback_needs = self._needs(fallback)
+        self._whole_fallback = _runs(fallback, fallback_needs)
         # Matching reads the fallback of the request's content type:
         # each ContentType member's value maps to the fallback filters
         # whose mask includes it, in insertion order.
         masks = [flt.options.effective_mask_int() for flt in fallback]
-        self._typed_fallback = {
-            member.value: tuple(flt for flt, mask in zip(fallback, masks)
-                                if mask & member.value)
-            for member in ContentType}
+        self._typed_fallback = {}
+        for member in ContentType:
+            value = member.value
+            kept = [at for at, mask in enumerate(masks) if mask & value]
+            self._typed_fallback[value] = _runs(
+                tuple(fallback[at] for at in kept),
+                [fallback_needs[at] for at in kept])
+
+    def _needs(self, filters: tuple[RequestFilter, ...]
+               ) -> list[frozenset[bytes] | None]:
+        """Each filter's required URL tokens, interned, or ``None``."""
+        interned = self._interned
+        needs = []
+        for flt in filters:
+            # Tokens hold no space: one join, encode and C-level split.
+            words = (frozenset(" ".join(required_tokens(flt.pattern_text))
+                               .encode().split())
+                     if flt.pattern is not None else None)
+            needs.append(interned.setdefault(words, words)
+                         if words else None)
+        return needs
+
+    def _split(self, token: bytes) -> tuple[_Run, ...]:
+        """The runs of ``token``'s bucket, built and kept on first use."""
+        bucket = self._raw[token]
+        runs = self._runs[token] = _runs(bucket, self._needs(bucket))
+        return runs
 
     # -- construction --------------------------------------------------
 
@@ -226,19 +289,31 @@ class CompiledFilterIndex:
 
         Same completeness guarantee and same ordering as
         :meth:`FilterIndex.candidates`; the zero- and single-hit cases
-        return prebuilt tuples, so callers may iterate them repeatedly
-        without re-probing.
+        return tuples, so callers may iterate them repeatedly without
+        re-probing.
         """
         if OBS.enabled:
-            return self._instrumented_candidates(url)
-        toks, hits = self._probe(url)
-        if not hits:
+            order, _ = self._recorded_probe(url)
+        else:
+            toks, hits = self._probe(url)
+            if len(hits) == 1:
+                # ``hits`` is a fresh mutable set; pop() beats building
+                # an iterator just to read the lone element.
+                return self._single_hit(hits.pop())
+            order = self._hit_order(toks, hits) if hits else []
+        if not order:
             return self._fallback
-        if len(hits) == 1:
-            # ``hits`` is a fresh mutable set; pop() beats building an
-            # iterator just to read the lone element.
-            return self._single[hits.pop()]
-        return self._multi_hit(toks, hits, self._fallback)
+        if len(order) == 1:
+            return self._single_hit(order[0])
+        raw = self._raw
+        return _MultiCandidates(
+            (*(raw[token] for token in order), self._fallback))
+
+    def _single_hit(self, token: bytes) -> tuple[RequestFilter, ...]:
+        single = self._single.get(token)
+        if single is None:
+            single = self._single[token] = self._raw[token] + self._fallback
+        return single
 
     def _probe(self, url: str) -> tuple[Sequence[bytes], set[bytes]]:
         """The URL's tokens, and the (fresh, mutable) set of its keywords."""
@@ -248,41 +323,26 @@ class CompiledFilterIndex:
             toks = [token.encode("ascii") for token in _url_tokens(url)]
         return toks, self._kwset.intersection(toks)
 
-    def _multi_hit(self, toks: Sequence[bytes], pending: set[bytes],
-                   fallback: tuple[RequestFilter, ...]
-                   ) -> Sequence[RequestFilter]:
-        """Hit buckets in first-occurrence order, then ``fallback``."""
-        parts: list[tuple[RequestFilter, ...]] = []
-        raw = self._raw
+    @staticmethod
+    def _hit_order(toks: Sequence[bytes], pending: set[bytes]
+                   ) -> list[bytes]:
+        """The hit tokens in first-occurrence order (drains ``pending``)."""
+        order = []
         for token in toks:
             if token in pending:
                 pending.discard(token)
-                parts.append(raw[token])
+                order.append(token)
                 if not pending:
                     break
-        parts.append(fallback)
-        return _MultiCandidates(tuple(parts))
+        return order
 
-    def _instrumented_candidates(self, url: str) -> Sequence[RequestFilter]:
-        """:meth:`candidates` plus ``filters.index.*`` accounting."""
-        order = self._recorded_probe(url)
-        raw = self._raw
-        if not order:
-            return self._fallback
-        if len(order) == 1:
-            return self._single[order[0]]
-        out: list[RequestFilter] = []
-        for token in order:
-            out.extend(raw[token])
-        out.extend(self._fallback)
-        return out
-
-    def _recorded_probe(self, url: str) -> list[bytes]:
-        """The hit tokens in first-occurrence order, probe counters recorded.
+    def _recorded_probe(self, url: str) -> tuple[list[bytes], set[bytes]]:
+        """The hit tokens in first-occurrence order, and the URL's token
+        set, probe counters recorded.
 
         Probes the *identical* bucket sequence as the fast path (same
         driver, same ordering) and counts it against the *unsplit*
-        index, whatever fallback the caller then reads;
+        index, whatever the caller then evaluates;
         ``bucket_misses`` counts distinct keyword-eligible tokens
         (length >= 3) absent from the index.
         """
@@ -307,33 +367,41 @@ class CompiledFilterIndex:
         if self._fallback:
             reg.counter("filters.index.fallback_scanned").inc(
                 len(self._fallback))
-        return order
+        return order, set(distinct)
 
     # -- matching ------------------------------------------------------
 
-    def _typed_candidates(self, url: str,
-                          content_type: ContentType
-                          ) -> Sequence[RequestFilter]:
-        """:meth:`candidates` with the fallback of ``content_type`` only.
+    def _evaluated(self, url: str, content_type: ContentType
+                   ) -> list[RequestFilter]:
+        """The candidates that can match ``url``, in candidate order.
 
-        The hit buckets are read whole; the fallback keeps only the
-        filters whose mask includes ``content_type`` (all of them when
-        it is not a single member, e.g. a flag combination), order
-        otherwise unchanged.
+        The hit buckets, then the fallback of ``content_type`` only (the
+        whole fallback when it is not a single member, e.g. a flag
+        combination), minus every filter whose required tokens are not
+        all tokens of ``url``: those cannot match, so the result is
+        what :meth:`candidates` would have matched, in the same order.
         """
-        fallback = self._typed_fallback.get(content_type, self._fallback)
-        if OBS.enabled:
-            raw = self._raw
-            found = _MultiCandidates(
-                (*(raw[token] for token in self._recorded_probe(url)),
-                 fallback))
+        fallback = self._typed_fallback.get(content_type,
+                                            self._whole_fallback)
+        runs = self._runs
+        observed = OBS.enabled
+        if observed:
+            order, tokset = self._recorded_probe(url)
+        else:
+            toks, hits = self._probe(url)
+            tokset = set(toks)
+            order = self._hit_order(toks, hits) if hits else ()
+        parts = [runs.get(token) or self._split(token) for token in order]
+        parts.append(fallback)
+        evaluated: list[RequestFilter] = []
+        for part in parts:
+            for need, run in part:
+                if need is None or need <= tokset:
+                    evaluated.extend(run)
+        if observed:
             OBS.registry.counter("filters.index.candidates_evaluated").inc(
-                len(found))
-            return found
-        toks, hits = self._probe(url)
-        if not hits:
-            return fallback
-        return self._multi_hit(toks, hits, fallback)
+                len(evaluated))
+        return evaluated
 
     def match_first(
         self,
@@ -345,7 +413,7 @@ class CompiledFilterIndex:
         sitekey: str | None = None,
     ) -> RequestFilter | None:
         """First matching filter, or ``None``."""
-        for flt in self._typed_candidates(url, content_type):
+        for flt in self._evaluated(url, content_type):
             if flt.matches(url, content_type, page_host, request_host,
                            sitekey=sitekey):
                 return flt
@@ -363,7 +431,7 @@ class CompiledFilterIndex:
         """Every matching filter (the survey records all activations)."""
         return [
             flt
-            for flt in self._typed_candidates(url, content_type)
+            for flt in self._evaluated(url, content_type)
             if flt.matches(url, content_type, page_host, request_host,
                            sitekey=sitekey)
         ]

@@ -109,7 +109,13 @@ class EngineSnapshot:
     no method on it (or on any session over it) adds or removes filters
     — which is what makes one snapshot safely shareable between every
     request thread of a serving daemon, and buildable off-thread while
-    an old snapshot keeps serving (:mod:`repro.serve`).
+    an old snapshot keeps serving (:mod:`repro.serve`).  Two memos
+    inside a compiled index fill lazily under that sharing: a keyword
+    bucket's required-token runs and a single-hit ``candidates()``
+    tuple, each built on first use and stored with one dict assignment
+    under the GIL.  Both are pure functions of the immutable buckets, so
+    two threads that race on one key build equal values and one store
+    wins; the duplicate build is harmless.
 
     Sessions are the thin mutable layer: :meth:`session` returns an
     :class:`AdblockEngine` that aliases the compiled structures but has
@@ -275,7 +281,7 @@ class AdblockEngine:
         Freezing is also where the keyword indexes are *compiled*: the
         mutable :class:`FilterIndex` pair becomes a pair of read-only
         :class:`~repro.filters.compiled.index.CompiledFilterIndex`
-        (keyword set + prebuilt candidate tuples), and the
+        (keyword set + bucket tuples), and the
         engine rebinds to them so its own probes take the compiled hot
         path too.  Candidate ordering is preserved byte-for-byte.
         """

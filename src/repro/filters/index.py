@@ -39,7 +39,7 @@ see the method docstring for the exact tie-breaking doctest.
 ``FilterIndex`` is the *build-time* structure; freezing an engine
 compiles it into the read-only
 :class:`~repro.filters.compiled.index.CompiledFilterIndex` (keyword
-set, prebuilt candidate tuples), which preserves both
+set, bucket tuples), which preserves both
 semantics above byte-for-byte — the differential-fuzz suite holds the
 two implementations equal.
 
@@ -57,6 +57,7 @@ from typing import Iterable, Iterator
 
 from repro.filters.options import ContentType
 from repro.filters.parser import RequestFilter
+from repro.filters.pattern import ASCII_FOLD
 from repro.obs import OBS
 
 __all__ = ["FilterIndex"]
@@ -76,8 +77,13 @@ def _url_tokens(url: str) -> tuple[str, ...]:
     which tokenises with C-level byte primitives and needs no memo.
     The uncached path here serves the mutable build-time index (tests,
     unfrozen engines) and the compiled index's non-ASCII detour.
+
+    The URL is folded with :data:`~repro.filters.pattern.ASCII_FOLD`
+    before lowercasing, as keywords are: a URL the pattern's
+    case-insensitive regex matches must carry the keyword's token.
     """
-    return tuple(dict.fromkeys(_URL_KEYWORD_RE.findall(url.lower())))
+    return tuple(dict.fromkeys(
+        _URL_KEYWORD_RE.findall(url.translate(ASCII_FOLD).lower())))
 
 
 class FilterIndex:

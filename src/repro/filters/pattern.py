@@ -47,12 +47,22 @@ from functools import lru_cache
 from repro.parallel.caches import register_process_cache
 
 __all__ = ["CompiledPattern", "compile_pattern", "PatternError",
-           "extract_keyword", "keyword_candidates", "SEPARATOR_REGEX"]
+           "extract_keyword", "keyword_candidates", "required_tokens",
+           "ASCII_FOLD", "SEPARATOR_REGEX"]
 
 
 class PatternError(ValueError):
     """Raised when a pattern cannot be compiled."""
 
+
+#: ``str.translate`` table mapping each non-ASCII code point that
+#: ``re.IGNORECASE`` treats as equal to an ASCII letter onto that letter.
+#: ``str.lower()`` folds only U+212A there (U+0130 lowers to ``i`` plus a
+#: combining dot).  Applied before lowercasing wherever patterns or URLs
+#: are split into keyword tokens, so a URL a pattern's regex matches
+#: (``ſtats.com`` for ``||stats.com^``) carries the pattern's tokens.
+ASCII_FOLD = str.maketrans({"\u0130": "i", "\u0131": "i",
+                            "\u017f": "s", "\u212a": "k"})
 
 #: What ``^`` expands to: any separator character, or the end of the URL.
 SEPARATOR_REGEX = r"(?:[^\w\-.%]|$)"
@@ -227,6 +237,8 @@ def keyword_candidates(source: str) -> tuple[str, ...]:
     """
     if len(source) >= 2 and source.startswith("/") and source.endswith("/"):
         return ()
+    if not source.isascii():
+        source = source.translate(ASCII_FOLD)
     candidates = []
     for match in _KEYWORD_RE.finditer(source):
         word = match.group(1).lower()
@@ -240,6 +252,41 @@ def keyword_candidates(source: str) -> tuple[str, ...]:
         if source.lower().endswith(last):
             candidates.pop()
     return tuple(candidates)
+
+
+#: A ``/.../`` body of literal characters only: none of them is a regex
+#: metacharacter, so the body must occur verbatim in the URL.
+_LITERAL_REGEX_BODY = re.compile(r"[A-Za-z0-9%_,;=&-]+")
+#: A token with a non-token character on both sides inside the body.
+_INNER_TOKEN_RE = re.compile(r"(?<=[^a-z0-9%])[a-z0-9%]{3,}(?=[^a-z0-9%])",
+                             re.IGNORECASE)
+
+
+def required_tokens(source: str) -> tuple[str, ...]:
+    """Tokens every URL the pattern matches contains as whole tokens.
+
+    A URL token is a maximal run of ``[a-z0-9%]`` after folding and
+    lowercasing (the keyword index's tokeniser).  For an ordinary
+    pattern these are all of :func:`keyword_candidates`; each is
+    guaranteed, which is what the keyword index's completeness rests
+    on.  A ``/.../`` pattern whose body is only literal characters must
+    occur verbatim, so its tokens delimited on both sides *inside* the
+    body are required too: ``/pop-zone-2/`` gives ``zone`` (``pop`` may
+    continue a longer URL token, ``2`` is too short).  Any other regex
+    gives ``()``.  The compiled index skips a candidate whose required
+    tokens are not all in the URL, without changing which filters
+    match.
+
+    >>> required_tokens("/pop-zone-2/"), required_tokens("/ad[0-9]+/")
+    (('zone',), ())
+    """
+    if len(source) >= 2 and source.startswith("/") and source.endswith("/"):
+        body = source[1:-1]
+        if not _LITERAL_REGEX_BODY.fullmatch(body):
+            return ()
+        return tuple(token.lower()
+                     for token in _INNER_TOKEN_RE.findall(body))
+    return keyword_candidates(source)
 
 
 def extract_keyword(source: str) -> str:

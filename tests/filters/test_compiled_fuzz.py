@@ -13,8 +13,17 @@ index must keep:
   included) plus flag combinations, so the compiled index's typed
   fallbacks and its whole fallback are both exercised; every pair also
   checks ``match_first`` under ``IMAGE`` and ``match_all`` under
-  ``SCRIPT``.  The parity pass runs twice: bare, and inside
-  ``observe()`` (the serving daemon's instrumented path).
+  ``SCRIPT``;
+* **linear-scan oracle** — the set ``match_all`` returns equals the set
+  of all the list's filters whose ``matches()`` is true, so a required
+  token the compiled index skips on must really be required.
+
+The parity pass runs twice: bare, and inside ``observe()`` (the
+serving daemon's instrumented path).  The corpus holds literal
+``/.../`` bodies, which have required tokens but no keyword, URLs
+built from them (whose edge tokens may be glued to longer ones), and
+URLs spelling letters with the non-ASCII code points a case-insensitive
+regex equates with them.
 
 Everything is derived from one fixed seed, so a failure reproduces
 exactly; bump ``FUZZ_SEED`` locally to explore a different corpus.
@@ -42,7 +51,12 @@ OPTIONS = ["", "$third-party", "$script", "$image,third-party",
            "$document", "$elemhide", "$document,elemhide",
            "$script,stylesheet", "$~script,~subdocument",
            "$xmlhttprequest,other", "$object,object-subrequest",
-           "$background", "$ping,dtd", "$xbl"]
+           "$background", "$ping,dtd", "$xbl", "$match-case",
+           "$image,match-case"]
+#: Characters of literal ``/.../`` bodies around their tokens.
+BODY_SEPARATORS = ["-", "_", "=", ";", "&", ","]
+#: Letters a case-insensitive regex equates with non-ASCII code points.
+FOLDED = {"s": "\u017f", "i": "\u0131", "I": "\u0130", "k": "\u212a"}
 
 #: Every member, plus combinations only the Python API can pass; these
 #: take the compiled index's whole fallback.
@@ -53,8 +67,19 @@ CONTENT_TYPES = list(ContentType) + [
 ]
 
 
+def _literal_body(rng: random.Random) -> str:
+    """A ``/.../`` body with no regex metacharacter: ``-zone-14``."""
+    words = [rng.choice(HOST_WORDS + ["zone", "Ads", "1x1"])
+             for _ in range(rng.randrange(1, 4))]
+    parts = [rng.choice(["", rng.choice(HOST_WORDS)])]
+    for word in words:
+        parts += [rng.choice(BODY_SEPARATORS), word]
+    parts += [rng.choice(BODY_SEPARATORS), rng.choice(["", "2", "14"])]
+    return "".join(parts)
+
+
 def _filter_text(rng: random.Random) -> str:
-    shape = rng.randrange(6)
+    shape = rng.randrange(7)
     host = (rng.choice(HOST_WORDS) + rng.choice(["", "-", "."])
             + rng.choice(HOST_WORDS) + "." + rng.choice(TLDS))
     path = "/".join(rng.choice(PATH_WORDS)
@@ -70,11 +95,29 @@ def _filter_text(rng: random.Random) -> str:
         return f"{prefix}||{host}/*/{path}"
     if shape == 4:                       # raw regex: fallback bucket
         return f"{prefix}/{rng.choice(PATH_WORDS)}[0-9]+/"
+    if shape == 5:                       # literal regex: required tokens
+        return f"{prefix}/{_literal_body(rng)}/{rng.choice(OPTIONS)}"
     return f"{prefix}|http://{host}/{path}|"
 
 
 def _url(rng: random.Random, list_hosts: list[str],
-         list_paths: list[str]) -> str:
+         list_paths: list[str], list_bodies: list[str]) -> str:
+    url = _plain_url(rng, list_hosts, list_paths, list_bodies)
+    if rng.random() < 0.1:
+        url = "".join(FOLDED.get(char, char) if rng.random() < 0.5
+                      else char for char in url)
+    return url
+
+
+def _plain_url(rng: random.Random, list_hosts: list[str],
+               list_paths: list[str], list_bodies: list[str]) -> str:
+    if list_bodies and rng.random() < 0.15:
+        # A literal body glued (or not) to the text around it, so its
+        # edge tokens may or may not be URL tokens.
+        return (f"http://{rng.choice(HOST_WORDS)}.com/"
+                f"{rng.choice(['', 'x', '/', 'a-'])}"
+                f"{rng.choice(list_bodies)}"
+                f"{rng.choice(['', 'y', '/', '.gif', '-b'])}")
     segments = [rng.choice(PATH_WORDS + HOST_WORDS)
                 for _ in range(rng.randrange(0, 4))]
     if list_hosts and list_paths and rng.random() < 0.4:
@@ -114,7 +157,11 @@ def _build_corpus(seed: int, lists: int, urls_per_list: int):
         list_paths = sorted({flt.pattern_text[:-1] for flt in filters
                              if flt.pattern_text[:1].isalnum()
                              and flt.pattern_text.endswith("^")})
-        urls = [_url(rng, list_hosts, list_paths)
+        list_bodies = sorted({flt.pattern_text[1:-1] for flt in filters
+                              if flt.pattern is not None
+                              and flt.pattern.is_regex
+                              and "[" not in flt.pattern_text})
+        urls = [_url(rng, list_hosts, list_paths, list_bodies)
                 for _ in range(urls_per_list)]
         yield filters, urls
 
@@ -148,6 +195,11 @@ class TestDifferentialFuzz:
                 if not all(id(flt) in candidate_ids for flt in matching):
                     mismatches.append(("completeness", url,
                                        [f.text for f in matching], None))
+                found = compiled.match_all(*args)
+                if {id(flt) for flt in found} != {id(flt) for flt in matching}:
+                    mismatches.append(("linear-scan", url, content_type,
+                                       [f.text for f in matching],
+                                       [f.text for f in found]))
                 # The drawn type under both methods, plus the two types
                 # whose typed fallbacks differ most on every pair.
                 for method, ctype in (("match_first", content_type),

@@ -134,3 +134,93 @@ class TestFrozenEngineUsesCompiledIndex:
         stats = snapshot.compiled_stats()
         assert set(stats) == {"blocking", "exceptions"}
         assert stats["blocking"]["filters"] == 1
+
+
+class TestSingleHitTuples:
+    def test_built_on_first_candidates_call_not_by_matching(self):
+        legacy, compiled = build_pair()
+        url = "http://www.googleadservices.com/pagead/conversion.js"
+        compiled.match_all(url, ContentType.SCRIPT, "page.com",
+                           "www.googleadservices.com")
+        assert not compiled._single
+        first = compiled.candidates(url)
+        assert list(first) == list(legacy.candidates(url))
+        assert compiled.candidates(url) is first
+
+
+class TestCaseFoldedUrls:
+    """Code points a case-insensitive regex equates with ASCII letters."""
+
+    def test_host_with_long_s_matches_in_both_indexes(self):
+        legacy, compiled = build_pair(["||stats.com^"])
+        url = "http://ſtats.com/x.js"
+        for index in (legacy, compiled):
+            assert [f.text for f in index.match_all(
+                url, ContentType.SCRIPT, "page.com", "ſtats.com")] \
+                == ["||stats.com^"]
+
+    def test_snapshot_builds_patterns_with_folded_keywords(self):
+        from repro.filters.engine import EngineSnapshot
+        from repro.filters.filterlist import parse_filter_list
+        for text, url, host in (
+                ("||ſtats.com^", "http://stats.com/x.js", "stats.com"),
+                ("||adsıte.com^", "http://ADSITE.com/", "adsite.com")):
+            snapshot = EngineSnapshot.build(
+                [parse_filter_list(text, name="easylist")])
+            assert snapshot.session().check_request(
+                url, ContentType.SCRIPT, "page.com", host).blocked, text
+
+    def test_required_token_with_long_s_is_a_url_token(self):
+        legacy, compiled = build_pair(["||google.com/ads/search.js"])
+        url = "http://google.com/ads/ſearch.js"
+        assert "search" in _url_tokens(url)
+        for index in (legacy, compiled):
+            assert len(index.match_all(url, ContentType.SCRIPT, "page.com",
+                                       "google.com")) == 1
+
+
+class TestLazyFillsUnderThreads:
+    def test_racing_first_probes_give_the_single_thread_answers(self):
+        import sys
+        import threading
+
+        texts = FILTERS + ["/pop-zone-2/$image", "/-ads-frame-/",
+                           "@@||google.de/ads/search/module/ads/*/search.js"]
+        urls = URLS + ["http://x.example/pop-zone-2.gif",
+                       "http://google.de/ads/search/module/ads/3/search.js",
+                       "http://y.example/a-ads-frame-b"]
+        calls = [(url, ctype, "page.com", "h.example")
+                 for url in urls
+                 for ctype in (ContentType.IMAGE, ContentType.SCRIPT)]
+        _, reference = build_pair(texts)
+        want = [reference.match_all(*call) for call in calls]
+        want_seq = [list(reference.candidates(url)) for url in urls]
+        failures = []
+
+        def hammer(compiled, barrier):
+            barrier.wait(timeout=10)
+            for _ in range(20):
+                if [compiled.match_all(*call) for call in calls] != want:
+                    failures.append("match_all")
+                if [list(compiled.candidates(url))
+                        for url in urls] != want_seq:
+                    failures.append("candidates")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                # A fresh index each round: every lazy fill is raced.
+                _, compiled = build_pair(texts)
+                barrier = threading.Barrier(6)
+                threads = [threading.Thread(target=hammer,
+                                            args=(compiled, barrier))
+                           for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[:3]

@@ -2,10 +2,16 @@
 
 import pytest
 
+import re
+
+from repro.filters.index import _url_tokens
 from repro.filters.pattern import (
+    ASCII_FOLD,
     PatternError,
     compile_pattern,
     extract_keyword,
+    keyword_candidates,
+    required_tokens,
 )
 
 
@@ -164,3 +170,63 @@ class TestKeywordExtraction:
         # Pattern "ads/x^" could match ".../myads/x" where "ads" is not
         # a URL token, so it must not become the keyword.
         assert extract_keyword("ads/x^") != "ads"
+
+
+class TestAsciiFold:
+    def test_table_is_every_code_point_ignorecase_equates_with_ascii(self):
+        ascii_class = re.compile("[a-z0-9]", re.IGNORECASE)
+        letters = "abcdefghijklmnopqrstuvwxyz0123456789"
+        scanned = {}
+        for point in range(0x80, 0x110000):
+            char = chr(point)
+            if ascii_class.fullmatch(char):
+                scanned[point] = next(
+                    letter for letter in letters
+                    if re.fullmatch(re.escape(letter), char, re.IGNORECASE))
+        assert ASCII_FOLD == scanned
+
+    @pytest.mark.parametrize("pattern,keywords", [
+        ("||\u017ftats.com^", ("stats",)),
+        ("||ads\u0131te.com^", ("adsite",)),
+        ("||\u0130mg.example^", ("img", "example")),
+    ])
+    def test_keywords_are_folded_to_ascii(self, pattern, keywords):
+        assert keyword_candidates(pattern) == keywords
+
+    def test_url_tokens_fold_before_lowercasing(self):
+        url = "http://\u017ftats.com/\u212aIT/\u0130D"
+        assert compile_pattern("||stats.com/kit/id").matches(url)
+        assert _url_tokens(url) == ("http", "stats", "com", "kit")
+
+
+class TestRequiredTokens:
+    def test_literal_regex_body_gives_inner_tokens(self):
+        # "pop" may continue a longer URL token, "2" is too short.
+        assert required_tokens("/pop-zone-2/") == ("zone",)
+        assert required_tokens("/x_Ads;banner=1/") == ("ads", "banner")
+        assert required_tokens("/-ads-banner&/") == ("ads", "banner")
+
+    @pytest.mark.parametrize("pattern", [
+        "/ad[0-9]+/", "/banner.zone/", "/a|zone-b/", "/x-zone-*/", "//",
+        "/pop-zone/", "/zone-2/",
+    ])
+    def test_other_regexes_require_nothing(self, pattern):
+        assert required_tokens(pattern) == ()
+
+    @pytest.mark.parametrize("pattern", [
+        "||adzerk.net^", "||google.com/adsense/search/ads.js",
+        "|http://ads.example/banner|", "ads/x^", "banner*", "",
+    ])
+    def test_ordinary_pattern_requires_its_keyword_candidates(self, pattern):
+        assert required_tokens(pattern) == keyword_candidates(pattern)
+
+    @pytest.mark.parametrize("pattern,url", [
+        ("/pop-zone-2/", "http://x.example/POP-ZONE-2.gif"),
+        ("/pop-zone-2/", "http://x.example/?a=xpop-zone-2b"),
+        ("/-ads-banner&/", "http://x.example/q-ADS-banner&z"),
+        ("/-kit-/", "http://x.example/a-\u212aIT-b"),
+        ("||google.com/ads/search.js", "http://google.com/ads/\u017fearch.js"),
+    ])
+    def test_required_tokens_are_tokens_of_matching_urls(self, pattern, url):
+        assert compile_pattern(pattern).matches(url)
+        assert set(required_tokens(pattern)) <= set(_url_tokens(url))

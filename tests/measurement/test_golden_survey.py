@@ -1,14 +1,16 @@
 """Golden pin: the Section 5 survey's outcomes, byte for byte.
 
-A reduced survey (``top_n=60``, ``stratum_size=15``) over the study's
-own history is digested exactly the way the repository benchmark's
-survey workload digests its output: every outcome row of both engine
-configurations, then the Table 4 rows, then the Section 5.1 headline.
-The digest equals the benchmark's pinned ``survey-inline/small/0``
-value, so any change to how requests are matched, recorded or counted
+Two reduced surveys over the study's own history are digested exactly
+the way the repository benchmark's survey workload digests its output:
+every outcome row of both engine configurations, then the Table 4
+rows, then the Section 5.1 headline.  The digests equal the benchmark's
+pinned ``survey-inline/small/0`` (``top_n=60``, ``stratum_size=15``)
+and ``survey-inline/full/0`` (``top_n=300``, ``stratum_size=75``)
+values, so any change to how requests are matched, recorded or counted
 — a reordered candidate, a lost activation, a moved Table 4 row —
 fails here, in the ordinary test run, before it can move the paper's
-numbers.
+numbers.  The larger sample holds requests that several filters match
+in an order-sensitive way, which the smaller one does not exercise.
 """
 
 import dataclasses
@@ -21,8 +23,14 @@ from repro.measurement.survey import SurveyConfig, run_survey
 from repro.parallel.caches import reset_process_caches
 from repro.web.crawlstate import snapshot_outcome
 
-#: SHA-256 of :func:`_survey_digest` for history seed 2015, key_bits 512.
-GOLDEN = "ab271e8dcde46253468f25e38f5b0338cef41c5f2da50fe8b857e3ce50c43768"
+#: SHA-256 of :func:`_survey_digest` for history seed 2015, key_bits 512,
+#: per ``(top_n, stratum_size)``.
+GOLDEN = {
+    (60, 15):
+        "ab271e8dcde46253468f25e38f5b0338cef41c5f2da50fe8b857e3ce50c43768",
+    (300, 75):
+        "a1cea4b2b30a581c0a6837f772fb88d863d5cdc1bcdfb6d7f06c6f7730fb68d1",
+}
 
 
 def _survey_digest(result) -> str:
@@ -44,8 +52,17 @@ def _survey_digest(result) -> str:
     return digest.hexdigest()
 
 
-def test_small_survey_digest_is_pinned():
+def _pinned_digest(top_n: int, stratum_size: int) -> str:
     reset_process_caches()
     history = generate_history(seed=2015, key_bits=512)
-    result = run_survey(history, SurveyConfig(top_n=60, stratum_size=15))
-    assert _survey_digest(result) == GOLDEN
+    result = run_survey(history, SurveyConfig(top_n=top_n,
+                                              stratum_size=stratum_size))
+    return _survey_digest(result)
+
+
+def test_small_survey_digest_is_pinned():
+    assert _pinned_digest(60, 15) == GOLDEN[60, 15]
+
+
+def test_full_survey_digest_is_pinned():
+    assert _pinned_digest(300, 75) == GOLDEN[300, 75]

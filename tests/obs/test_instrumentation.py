@@ -129,6 +129,27 @@ class TestCompiledIndexInstrumentation:
         # Blocking plus the (empty) exception index, once each.
         assert flat["filters.index.probes"] == 2
 
+    def test_candidates_evaluated_skips_absent_required_tokens(self):
+        engine = AdblockEngine()
+        engine.subscribe(parse_filter_list(
+            "||adzerk.net^\n"              # keyword bucket
+            "/banner-zone-14/$image\n"     # fallback, requires 'zone'
+            "/track[0-9]+/\n",             # fallback, requires nothing
+            name="blocking"))
+        engine.freeze()
+        counts = []
+        for url in ("http://adzerk.net/x.gif",
+                    "http://adzerk.net/banner-zone-14/x.gif"):
+            with observe() as (registry, _):
+                engine.check_request(url, ContentType.IMAGE,
+                                     "news.example", "adzerk.net")
+            flat = registry.flat()
+            assert flat["filters.index.candidates_yielded"] == 3
+            counts.append(flat["filters.index.candidates_evaluated"])
+        # 'zone' is no token of the first URL: its filter never reaches
+        # ``matches``.
+        assert counts == [2, 3]
+
     def test_artifact_load_events(self, tmp_path):
         from repro.serve.reload import (build_snapshot_from_sources,
                                         persist_snapshot_artifact)
