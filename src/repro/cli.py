@@ -579,11 +579,10 @@ def _serve_sources(args, out):
             epoch, sources = stored
             out.write(f"booting from stored snapshot epoch {epoch}\n")
             return sources
-    from repro.measurement.survey import build_engines
+    from repro.measurement.survey import build_filter_lists
 
-    _, easylist, whitelist = build_engines(_study(args).history)
     return [(fl.name, "\n".join(entry.text for entry in fl.entries))
-            for fl in (easylist, whitelist)]
+            for fl in build_filter_lists(_study(args).history)]
 
 
 def _cmd_serve(args, out) -> int:

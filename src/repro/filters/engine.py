@@ -31,6 +31,7 @@ from repro.filters.filterlist import FilterList
 from repro.filters.index import FilterIndex
 from repro.filters.options import ContentType
 from repro.filters.parser import ElementFilter, RequestFilter
+from repro.filters.selectors import SelectorList
 from repro.obs import OBS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -99,6 +100,98 @@ class FrozenEngineError(RuntimeError):
     """Raised when a frozen engine (or a snapshot session) is mutated."""
 
 
+def _selector_keys(selector: SelectorList
+                   ) -> tuple[tuple[str, str], ...] | None:
+    """One ``("id"|"class", value)`` key per member of ``selector``.
+
+    A member matches an element only if its rightmost compound does, so
+    the element must carry that compound's ``#id`` or ``.class``.
+    ``None`` when some member's rightmost compound has neither (a tag,
+    attribute-only or universal selector): nothing narrows it.
+    """
+    keys = []
+    for member in selector.selectors:
+        key = next(((part.kind, part.value)
+                    for part in member.compounds[-1].parts
+                    if part.kind == "id" or part.kind == "class"), None)
+        if key is None:
+            return None
+        keys.append(key)
+    return tuple(dict.fromkeys(keys))
+
+
+class ElementHideIndex:
+    """Element-hiding (``##``) filters keyed by the id or class they need.
+
+    Each filter is filed once per member of its selector list, under
+    that member's :func:`_selector_keys` key; a filter with any unkeyed
+    member goes into ``unkeyed``, the run checked on every element.  An
+    element's candidates are ``unkeyed`` plus the filters filed under
+    its id and each of its classes, merged by position in ``filters``
+    (list order), so the first matching filter wins exactly as in a
+    scan of the whole list.
+
+    Built eagerly and never mutated, so one instance is shared by every
+    session over a snapshot without a lazily filled memo.
+    """
+
+    __slots__ = ("filters", "unkeyed", "by_id", "by_class")
+
+    def __init__(self,
+                 element_hide: Iterable[tuple[str, ElementFilter]]) -> None:
+        self.filters = tuple(element_hide)
+        unkeyed: list[int] = []
+        keyed: dict[str, dict[str, list[int]]] = {"id": {}, "class": {}}
+        for position, (_, flt) in enumerate(self.filters):
+            keys = _selector_keys(flt.selector)
+            if keys is None:
+                unkeyed.append(position)
+                continue
+            for kind, value in keys:
+                keyed[kind].setdefault(value, []).append(position)
+        self.unkeyed = tuple(unkeyed)
+        self.by_id = {k: tuple(v) for k, v in keyed["id"].items()}
+        self.by_class = {k: tuple(v) for k, v in keyed["class"].items()}
+
+    def candidates(self, element: "Element") -> tuple[int, ...] | list[int]:
+        """Positions of the filters that can hide ``element``, ascending."""
+        keyed: list[int] = []
+        element_id = element.get("id")
+        if element_id is not None:
+            keyed.extend(self.by_id.get(element_id, ()))
+        # The raw attribute, split once: ``Element.classes`` builds a
+        # new frozenset on every access.
+        class_attr = element.get("class")
+        if class_attr:
+            by_class = self.by_class
+            for name in class_attr.split():
+                keyed.extend(by_class.get(name, ()))
+        if not keyed:
+            return self.unkeyed
+        return sorted(set(keyed).union(self.unkeyed))
+
+    def find_hider(self, element: "Element", page_host: str,
+                   applies: dict[int, bool]
+                   ) -> tuple[str, ElementFilter] | None:
+        """The first filter in list order that applies on ``page_host``
+        and matches ``element``, or ``None``.
+
+        ``applies`` memoises ``applies_on_domain`` by position; pass one
+        dict per page so each filter's domain is decided at most once.
+        """
+        filters = self.filters
+        for position in self.candidates(element):
+            entry = filters[position]
+            flt = entry[1]
+            on_domain = applies.get(position)
+            if on_domain is None:
+                on_domain = applies[position] = flt.applies_on_domain(
+                    page_host)
+            if on_domain and flt.selector.matches(element):
+                return entry
+        return None
+
+
 class EngineSnapshot:
     """The frozen, shareable compiled form of an engine's subscriptions.
 
@@ -115,7 +208,9 @@ class EngineSnapshot:
     tuple, each built on first use and stored with one dict assignment
     under the GIL.  Both are pure functions of the immutable buckets, so
     two threads that race on one key build equal values and one store
-    wins; the duplicate build is harmless.
+    wins; the duplicate build is harmless.  The element-hiding index
+    (:class:`ElementHideIndex`) is built here, eagerly, by every path
+    that constructs a snapshot, so it has no lazy fill at all.
 
     Sessions are the thin mutable layer: :meth:`session` returns an
     :class:`AdblockEngine` that aliases the compiled structures but has
@@ -135,7 +230,7 @@ class EngineSnapshot:
     """
 
     __slots__ = ("blocking", "exceptions", "element_hide",
-                 "element_exceptions", "lists", "epoch",
+                 "element_index", "element_exceptions", "lists", "epoch",
                  "_list_of_filter", "_privilege_cache")
 
     def __init__(self, *, blocking, exceptions,
@@ -147,6 +242,7 @@ class EngineSnapshot:
         self.blocking = blocking
         self.exceptions = exceptions
         self.element_hide = element_hide
+        self.element_index = ElementHideIndex(element_hide)
         self.element_exceptions = element_exceptions
         self.lists = lists
         self.epoch = epoch
@@ -237,6 +333,9 @@ class AdblockEngine:
             self._blocking = FilterIndex()
             self._exceptions = FilterIndex()
             self._element_hide: list[tuple[str, ElementFilter]] = []
+            # Frozen engines and sessions share the snapshot's index;
+            # until then hidden_elements indexes the list per call.
+            self._element_index: ElementHideIndex | None = None
             self._element_exceptions: list[tuple[str, ElementFilter]] = []
             self._list_of_filter: dict[int, str] = {}
             self._lists: list[FilterList] = []
@@ -254,6 +353,7 @@ class AdblockEngine:
             self._blocking = snapshot.blocking
             self._exceptions = snapshot.exceptions
             self._element_hide = snapshot.element_hide
+            self._element_index = snapshot.element_index
             self._element_exceptions = snapshot.element_exceptions
             self._list_of_filter = snapshot._list_of_filter
             self._lists = list(snapshot.lists)
@@ -304,6 +404,7 @@ class AdblockEngine:
                 list_of_filter=self._list_of_filter,
                 epoch=self._subscription_epoch,
             )
+            self._element_index = self._snapshot.element_index
             # Adopt the snapshot's memo so the engine and its sessions
             # share one long-lived cache (the engine's own memo was
             # keyed on the same epoch, but starts empty post-freeze to
@@ -524,13 +625,15 @@ class AdblockEngine:
         if privileges is not None and (
                 privileges.allow_all or privileges.disable_elemhide):
             return []
+        index = self._element_index or ElementHideIndex(self._element_hide)
+        applies: dict[int, bool] = {}
         hidden: list["Element"] = []
         active_exceptions = [
             (name, flt) for name, flt in self._element_exceptions
             if flt.applies_on_domain(page_host)
         ]
         for element in elements:
-            hider = self._find_hider(element, page_host)
+            hider = index.find_hider(element, page_host, applies)
             if hider is None:
                 continue
             list_name, flt = hider
@@ -558,14 +661,6 @@ class AdblockEngine:
             if not excepted:
                 hidden.append(element)
         return hidden
-
-    def _find_hider(
-        self, element: "Element", page_host: str
-    ) -> tuple[str, ElementFilter] | None:
-        for name, flt in self._element_hide:
-            if flt.applies_on_domain(page_host) and flt.selector.matches(element):
-                return name, flt
-        return None
 
     def elemhide_stylesheet(
         self,

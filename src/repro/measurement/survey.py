@@ -4,10 +4,10 @@ This is the reproduction of "we instrumented Adblock Plus to record
 filter activations and used Selenium to visit each domain".  Given a
 generated whitelist history, the survey:
 
-1. builds the synthetic EasyList and extracts the tip whitelist;
-2. assembles two engine configurations — the ABP default
-   (EasyList + Acceptable Ads) and EasyList-only (for Figure 6's
-   comparison panel);
+1. builds the synthetic EasyList and extracts the tip whitelist, once;
+2. assembles two engine configurations over those same two lists — the
+   ABP default (EasyList + Acceptable Ads) and EasyList-only (for
+   Figure 6's comparison panel);
 3. materialises the four sample groups;
 4. crawls every target in each configuration, wiring explicitly
    whitelisted publishers to their restricted filters via the
@@ -132,13 +132,26 @@ class SurveyResult:
         return crawl_health(self.all_outcomes())
 
 
-def build_engines(history: "WhitelistHistory",
-                  *, with_whitelist: bool = True
-                  ) -> tuple[AdblockEngine, FilterList, FilterList]:
-    """Build an engine (plus its two lists) in the requested config."""
+def build_filter_lists(history: "WhitelistHistory"
+                       ) -> tuple[FilterList, FilterList]:
+    """Build the synthetic EasyList and parse the history's tip whitelist."""
     easylist = build_easylist(name=EASYLIST_NAME)
     whitelist = history.tip_filter_list()
     whitelist.name = WHITELIST_NAME
+    return easylist, whitelist
+
+
+def build_engines(history: "WhitelistHistory",
+                  *, with_whitelist: bool = True,
+                  lists: tuple[FilterList, FilterList] | None = None
+                  ) -> tuple[AdblockEngine, FilterList, FilterList]:
+    """Build an engine (plus its two lists) in the requested config.
+
+    ``lists`` is an ``(easylist, whitelist)`` pair from
+    :func:`build_filter_lists` to subscribe to instead of building the
+    lists again; engines built from one pair share its filter objects.
+    """
+    easylist, whitelist = lists or build_filter_lists(history)
     engine = AdblockEngine(record=True)
     engine.subscribe(easylist)
     if with_whitelist:
@@ -298,7 +311,8 @@ def run_survey(history: "WhitelistHistory",
             with tracer.span("survey.build_engines",
                              config="easylist-only"):
                 engine_plain = build_engines(
-                    history, with_whitelist=False)[0]
+                    history, with_whitelist=False,
+                    lists=(easylist, whitelist))[0]
             crawl_config(lambda: make_crawler(engine_plain),
                          "easylist-only",
                          result.outcomes_easylist_only,

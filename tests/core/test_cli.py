@@ -1,9 +1,12 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import io
+from types import SimpleNamespace
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -133,3 +136,20 @@ class TestCommands:
         a = run_cli("growth", *FAST)
         b = run_cli("growth", "--seed", "7", *FAST)
         assert "jump: Rev 200" in a and "jump: Rev 200" in b
+
+
+class TestServeSources:
+    def test_study_lists_boot_unchanged(self, history, monkeypatch):
+        """With no ``--lists`` and no stored snapshot, ``repro serve``
+        boots from the study's EasyList and whitelist, byte for byte."""
+        monkeypatch.setattr(cli, "_study",
+                            lambda args: SimpleNamespace(history=history))
+        args = build_parser().parse_args(["serve", *FAST])
+        sources = cli._serve_sources(args, io.StringIO())
+        assert [name for name, _ in sources] == ["easylist",
+                                                 "exceptionrules"]
+        digest = hashlib.sha256()
+        for name, text in sources:
+            digest.update(name.encode() + b"\0" + text.encode() + b"\0")
+        assert digest.hexdigest() == (
+            "a69ec11d095de6b2fa01776eec6d40d36862b5b1eb384c310efc85a6c126f2a5")

@@ -16,6 +16,7 @@ from repro.filters.engine import EngineSnapshot
 from repro.filters.filterlist import parse_filter_list
 from repro.filters.options import ContentType
 from repro.obs import observe
+from repro.web.dom import Element
 
 EASYLIST = """\
 ||ads.example^$third-party
@@ -101,6 +102,28 @@ class TestRoundTrip:
                     == [f.text for f in loaded.blocking])
             assert ([f.text for f in fresh.exceptions]
                     == [f.text for f in loaded.exceptions])
+
+    def test_rebuilt_snapshot_indexes_element_hiding(self):
+        lists = [parse_filter_list(
+                     EASYLIST + "##.ad\n###top\nexample.com##div.x, span\n"
+                     '##div[id^="gpt"]\n', name="easylist"),
+                 parse_filter_list(WHITELIST + "example.com#@#.ad\n",
+                                   name="whitelist")]
+        snapshot, blob = build_blob(lists)
+        rebuilt = parse_artifact(blob).build_snapshot(lists)
+        for index in (snapshot.element_index, rebuilt.element_index):
+            # ``div.x, span`` has an unkeyed member, so it is unkeyed.
+            assert index.unkeyed == (2, 3)
+            assert index.by_id == {"top": (1,)}
+            assert index.by_class == {"ad": (0,)}
+            assert ([flt.text for _, flt in index.filters]
+                    == [flt.text for _, flt in snapshot.element_hide])
+        root = Element(tag="div", attributes={"class": "ad x"})
+        page = [root, root.new_child("span", id="top")]
+        for host, hidden in (("example.com", [page[1]]),
+                             ("other.example", page)):
+            assert snapshot.session().hidden_elements(page, host) == hidden
+            assert rebuilt.session().hidden_elements(page, host) == hidden
 
     def test_stats_shape(self):
         _, blob = build_blob()

@@ -1,10 +1,15 @@
 """Tests for the Section 5 survey harness (scaled-down runs)."""
 
+import repro.filters.filterlist as filterlist
+import repro.measurement.easylist as easylist_module
+import repro.measurement.survey as survey
 from repro.measurement.survey import (
     EASYLIST_NAME,
     WHITELIST_NAME,
+    SurveyConfig,
     build_engines,
     make_profile_factory,
+    run_survey,
 )
 from repro.web.crawler import CrawlTarget
 
@@ -20,6 +25,35 @@ class TestBuildEngines:
     def test_whitelist_disabled(self, history):
         engine, _, _ = build_engines(history, with_whitelist=False)
         assert [s.name for s in engine.subscriptions] == [EASYLIST_NAME]
+
+    def test_survey_parses_each_list_once(self, history, monkeypatch):
+        """Both engine configurations subscribe to one parse of each list."""
+        parsed: list[str] = []
+        engines = []
+        parse = filterlist.parse_filter_list
+        build = survey.build_engines
+
+        def counting_parse(*args, **kwargs):
+            parsed.append(kwargs.get("name", ""))
+            return parse(*args, **kwargs)
+
+        def capturing_build(*args, **kwargs):
+            built = build(*args, **kwargs)
+            engines.append(built[0])
+            return built
+
+        monkeypatch.setattr(filterlist, "parse_filter_list", counting_parse)
+        monkeypatch.setattr(easylist_module, "parse_filter_list",
+                            counting_parse)
+        monkeypatch.setattr(survey, "build_engines", capturing_build)
+        result = run_survey(history, SurveyConfig(
+            top_n=8, stratum_size=2, compare_without_whitelist=True))
+        assert sorted(parsed) == [EASYLIST_NAME, WHITELIST_NAME]
+        with_whitelist, easylist_only = engines
+        assert with_whitelist.subscriptions[0] is result.easylist
+        assert with_whitelist.subscriptions[1] is result.whitelist
+        assert len(easylist_only.subscriptions) == 1
+        assert easylist_only.subscriptions[0] is result.easylist
 
 
 class TestProfileFactory:
