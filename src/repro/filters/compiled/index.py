@@ -50,8 +50,22 @@ before ``RequestFilter.matches``.  Sets are interned, and a bucket is
 stored as *runs* of consecutive filters sharing one set, so the 500
 ``/banner-zone-N/$image`` fallback filters cost one subset test.  What
 is skipped cannot match, so the matches and their order are unchanged.
-The typed fallbacks and their runs are built at compile time; a keyword
-bucket's runs on the first probe that hits it (most never are).
+
+Tokens cannot tell those 500 filters apart (``zone`` is their only
+inner token), but their bodies can.  A **literal** ``/.../`` body
+(:func:`~repro.filters.pattern.literal_body`: only
+``[A-Za-z0-9%_,;=&-]``) without ``$match-case`` matches an ASCII URL
+exactly when its lowercase form is a substring of the lowercased URL:
+``re.IGNORECASE`` equates only the four code points of
+:data:`~repro.filters.pattern.ASCII_FOLD` with ASCII letters, and an
+ASCII URL holds none of them.  Runs are also split where literal
+filters start or stop, and a run of literal filters carries their
+lowercase bodies (*needles*); for an ASCII URL it keeps only the
+filters whose needle occurs in the URL, in run order.  A non-ASCII URL
+evaluates the run whole.  A matching candidate still runs every check
+of ``RequestFilter.matches``.  The typed fallbacks and their runs are
+built at compile time; a keyword bucket's runs on the first probe that
+hits it (most never are).
 
 A compiled index is safe to share between threads: after compilation
 the only writes are those two fills (``_runs``, ``_single``), each one
@@ -76,13 +90,13 @@ could miss a bucket and break the completeness guarantee.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterator, Sequence
 
 from repro.filters.index import FilterIndex, _url_tokens
 from repro.filters.options import ContentType
 from repro.filters.parser import RequestFilter
-from repro.filters.pattern import required_tokens
+from repro.filters.pattern import literal_body, required_tokens
 from repro.obs import OBS
 
 __all__ = ["CompiledFilterIndex", "TOKEN_TABLE"]
@@ -133,22 +147,49 @@ class _MultiCandidates:
 
 
 #: A run: consecutive filters of one bucket that share a required-token
-#: set (``None``: no tokens required).
-_Run = tuple[frozenset[bytes] | None, tuple[RequestFilter, ...]]
+#: set (``None``: no tokens required), and, when every one of them is a
+#: literal ``/.../`` body, their lowercase bodies (else ``None``).
+_Run = tuple[frozenset[bytes] | None, tuple[RequestFilter, ...],
+             tuple[str, ...] | None]
+
+
+def _needle(flt: RequestFilter) -> str | None:
+    """The lowercase literal body ``flt`` matches by, or ``None``.
+
+    Without ``$match-case``, ``re.search(body, url, re.IGNORECASE)`` for
+    such a body finds a match in an ASCII URL exactly when
+    ``body.lower() in url.lower()``: only the four code points of
+    :data:`~repro.filters.pattern.ASCII_FOLD` also equal an ASCII letter.
+    """
+    pattern = flt.pattern
+    if pattern is None or pattern.match_case:
+        return None
+    body = literal_body(flt.pattern_text)
+    return body.lower() if body is not None else None
 
 
 def _runs(filters: tuple[RequestFilter, ...],
-          needs: Sequence[frozenset[bytes] | None]) -> tuple[_Run, ...]:
-    """Split ``filters`` into runs of equal (interned) ``needs``."""
+          needs: Sequence[frozenset[bytes] | None],
+          needles: Sequence[str | None]) -> tuple[_Run, ...]:
+    """Split ``filters`` into runs of equal (interned) ``needs`` and of
+    literal bodies only or none."""
     runs = []
     start = 0
+
+    def close(end: int | None) -> None:
+        # A bucket that is one run keeps its own tuple: t[0:] is t.
+        run = filters[start:end]
+        literal = needles[start] is not None
+        runs.append((needs[start], run,
+                     tuple(needles[start:end]) if literal else None))
+
     for end in range(1, len(filters)):
-        if needs[end] is not needs[start]:
-            runs.append((needs[start], filters[start:end]))
+        if (needs[end] is not needs[start]
+                or (needles[end] is None) != (needles[start] is None)):
+            close(end)
             start = end
     if filters:
-        # A bucket that is one run keeps its own tuple: t[0:] is t.
-        runs.append((needs[start], filters[start:]))
+        close(None)
     return tuple(runs)
 
 
@@ -196,7 +237,9 @@ class CompiledFilterIndex:
         self._interned: dict[frozenset[bytes], frozenset[bytes]] = {}
         self._runs: dict[bytes, tuple[_Run, ...]] = {}
         fallback_needs = self._needs(fallback)
-        self._whole_fallback = _runs(fallback, fallback_needs)
+        fallback_needles = [_needle(flt) for flt in fallback]
+        self._whole_fallback = _runs(fallback, fallback_needs,
+                                     fallback_needles)
         # Matching reads the fallback of the request's content type:
         # each ContentType member's value maps to the fallback filters
         # whose mask includes it, in insertion order.
@@ -207,7 +250,8 @@ class CompiledFilterIndex:
             kept = [at for at, mask in enumerate(masks) if mask & value]
             self._typed_fallback[value] = _runs(
                 tuple(fallback[at] for at in kept),
-                [fallback_needs[at] for at in kept])
+                [fallback_needs[at] for at in kept],
+                [fallback_needles[at] for at in kept])
 
     def _needs(self, filters: tuple[RequestFilter, ...]
                ) -> list[frozenset[bytes] | None]:
@@ -226,7 +270,8 @@ class CompiledFilterIndex:
     def _split(self, token: bytes) -> tuple[_Run, ...]:
         """The runs of ``token``'s bucket, built and kept on first use."""
         bucket = self._raw[token]
-        runs = self._runs[token] = _runs(bucket, self._needs(bucket))
+        runs = self._runs[token] = _runs(bucket, self._needs(bucket),
+                                         [_needle(flt) for flt in bucket])
         return runs
 
     # -- construction --------------------------------------------------
@@ -393,11 +438,18 @@ class CompiledFilterIndex:
             order = self._hit_order(toks, hits) if hits else ()
         parts = [runs.get(token) or self._split(token) for token in order]
         parts.append(fallback)
+        # Literal runs keep only the filters whose body occurs in the
+        # lowercased URL; a non-ASCII URL evaluates them whole.
+        lowered = url.lower() if url.isascii() else None
         evaluated: list[RequestFilter] = []
         for part in parts:
-            for need, run in part:
+            for need, run, needles in part:
                 if need is None or need <= tokset:
-                    evaluated.extend(run)
+                    if needles is None or lowered is None:
+                        evaluated.extend(run)
+                    else:
+                        evaluated.extend(compress(
+                            run, map(lowered.__contains__, needles)))
         if observed:
             OBS.registry.counter("filters.index.candidates_evaluated").inc(
                 len(evaluated))

@@ -178,7 +178,10 @@ class RequestFilter(Filter):
         of what the mask test rejected, so the regex now rejects most
         candidates that reach here.  The mask test stays: keyword-bucket
         filters, the legacy index and flag-combination content types
-        still arrive unfiltered.
+        still arrive unfiltered.  Nor does the compiled index pass on a
+        literal ``/.../`` filter whose body is absent from an ASCII URL
+        (its substring test), so such a filter's regex is compiled and
+        searched only for URLs it matches, or non-ASCII ones.
         """
         options = self.options
         if not options.effective_mask_int() & int(content_type):

@@ -26,12 +26,16 @@ caches keep it cheap:
 
 * :func:`compile_pattern` is memoised per ``(source, match_case)``, so
   re-parsing the same list reuses the compiled objects outright;
-* the translated Python regex inside a :class:`CompiledPattern` is
-  compiled *lazily*, on first match — a filter that never reaches the
-  matcher (most of EasyList, for any one page) never pays
-  ``re.compile``.  Raw ``/.../`` patterns still compile eagerly, because
-  :class:`PatternError` for a malformed regex must surface at parse
-  time (the hygiene audit counts those);
+* the Python regex inside a :class:`CompiledPattern` is compiled
+  *lazily*, on first match — a filter that never reaches the matcher
+  (most of EasyList, for any one page) never pays ``re.compile``.  That
+  holds for translated patterns and for *literal* ``/.../`` bodies
+  (:func:`literal_body`: only ``[A-Za-z0-9%_,;=&-]``), which cannot
+  fail to compile; the compiled index tests most of those with a
+  substring check and never compiles them at all.  Any other raw
+  ``/.../`` pattern compiles eagerly, because :class:`PatternError` for
+  a malformed regex must surface at parse time (the hygiene audit
+  counts those);
 * :func:`keyword_candidates` is memoised per pattern text.
 
 All three are registered process caches
@@ -47,8 +51,8 @@ from functools import lru_cache
 from repro.parallel.caches import register_process_cache
 
 __all__ = ["CompiledPattern", "compile_pattern", "PatternError",
-           "extract_keyword", "keyword_candidates", "required_tokens",
-           "ASCII_FOLD", "SEPARATOR_REGEX"]
+           "extract_keyword", "keyword_candidates", "literal_body",
+           "required_tokens", "ASCII_FOLD", "SEPARATOR_REGEX"]
 
 
 class PatternError(ValueError):
@@ -78,7 +82,8 @@ class CompiledPattern:
     The Python regex behind :attr:`regex` is built on first access and
     cached on the instance — raw regex patterns arrive pre-compiled
     (their syntax errors must surface at parse time), translated
-    patterns defer ``re.compile`` until the filter is first matched.
+    patterns and literal ``/.../`` bodies defer ``re.compile`` until the
+    filter is first matched.
     Instances are value-equal on ``(source, match_case)`` and treated as
     immutable; :func:`compile_pattern` shares them freely.
     """
@@ -105,7 +110,7 @@ class CompiledPattern:
         if regex is None:
             try:
                 regex = re.compile(self._regex_source, self._flags)
-            except re.error as exc:  # pragma: no cover - translation is safe
+            except re.error as exc:  # pragma: no cover - both are safe
                 raise PatternError(
                     f"failed to compile {self.source!r}: {exc}") from exc
             self._regex = regex
@@ -143,10 +148,14 @@ def compile_pattern(source: str, match_case: bool = False) -> CompiledPattern:
 
     if len(source) >= 2 and source.startswith("/") and source.endswith("/"):
         inner = source[1:-1]
-        try:
-            regex = re.compile(inner, flags)
-        except re.error as exc:
-            raise PatternError(f"bad regex pattern {source!r}: {exc}") from exc
+        regex = None
+        # A literal body cannot fail to compile, so it compiles lazily.
+        if literal_body(source) is None:
+            try:
+                regex = re.compile(inner, flags)
+            except re.error as exc:
+                raise PatternError(
+                    f"bad regex pattern {source!r}: {exc}") from exc
         return CompiledPattern(source=source, regex_source=inner,
                                flags=flags, regex=regex, is_regex=True,
                                match_case=match_case)
@@ -262,6 +271,23 @@ _INNER_TOKEN_RE = re.compile(r"(?<=[^a-z0-9%])[a-z0-9%]{3,}(?=[^a-z0-9%])",
                              re.IGNORECASE)
 
 
+def literal_body(source: str) -> str | None:
+    """The body of a ``/.../`` pattern made only of literal characters.
+
+    ``None`` for any other pattern.  Such a body holds no regex
+    metacharacter, so it matches exactly where it occurs verbatim (up to
+    case, without ``$match-case``); it always compiles.
+
+    >>> literal_body("/pop-zone-2/"), literal_body("/ad[0-9]+/")
+    ('pop-zone-2', None)
+    """
+    if len(source) >= 2 and source.startswith("/") and source.endswith("/"):
+        body = source[1:-1]
+        if _LITERAL_REGEX_BODY.fullmatch(body):
+            return body
+    return None
+
+
 def required_tokens(source: str) -> tuple[str, ...]:
     """Tokens every URL the pattern matches contains as whole tokens.
 
@@ -280,13 +306,11 @@ def required_tokens(source: str) -> tuple[str, ...]:
     >>> required_tokens("/pop-zone-2/"), required_tokens("/ad[0-9]+/")
     (('zone',), ())
     """
-    if len(source) >= 2 and source.startswith("/") and source.endswith("/"):
-        body = source[1:-1]
-        if not _LITERAL_REGEX_BODY.fullmatch(body):
-            return ()
+    body = literal_body(source)
+    if body is not None:
         return tuple(token.lower()
                      for token in _INNER_TOKEN_RE.findall(body))
-    return keyword_candidates(source)
+    return keyword_candidates(source)   # () for any other regex
 
 
 def extract_keyword(source: str) -> str:

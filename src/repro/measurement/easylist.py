@@ -20,7 +20,8 @@ that requires the absence to be intentional here.
 
 from __future__ import annotations
 
-from repro.filters.filterlist import FilterList, parse_filter_list
+from repro.filters import filterlist
+from repro.filters.filterlist import FilterList
 from repro.web.adnetworks import NETWORK_CATALOG
 
 __all__ = ["build_easylist", "EASYLIST_FILLER_COUNT"]
@@ -72,4 +73,6 @@ def build_easylist(name: str = "easylist") -> FilterList:
         else:
             lines.append(f"||cdn{i}.{word}-delivery.com/js/$script")
 
-    return parse_filter_list("\n".join(lines), name=name)
+    # Through the module, so a wrapper installed on
+    # ``filterlist.parse_filter_list`` (a profiler span) sees this parse.
+    return filterlist.parse_filter_list("\n".join(lines), name=name)

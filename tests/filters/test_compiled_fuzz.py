@@ -20,10 +20,14 @@ index must keep:
 
 The parity pass runs twice: bare, and inside ``observe()`` (the
 serving daemon's instrumented path).  The corpus holds literal
-``/.../`` bodies, which have required tokens but no keyword, URLs
-built from them (whose edge tokens may be glued to longer ones), and
-URLs spelling letters with the non-ASCII code points a case-insensitive
-regex equates with them.
+``/.../`` bodies, which have required tokens but no keyword and which
+the compiled index tests as lowercase substrings: some under
+``$match-case``, and EasyList-like blocks of ``/word-zone-N/`` bodies
+that share one required-token set.  URLs are built from those bodies:
+glued to longer tokens, in upper or mixed case, beside a near miss of
+another body, and spelled with the non-ASCII code points a
+case-insensitive regex equates with ASCII letters (Kelvin ``K`` for
+``k``, long ``ſ`` for ``s``, dotless ``ı`` and dotted ``İ`` for ``i``).
 
 Everything is derived from one fixed seed, so a failure reproduces
 exactly; bump ``FUZZ_SEED`` locally to explore a different corpus.
@@ -96,7 +100,9 @@ def _filter_text(rng: random.Random) -> str:
     if shape == 4:                       # raw regex: fallback bucket
         return f"{prefix}/{rng.choice(PATH_WORDS)}[0-9]+/"
     if shape == 5:                       # literal regex: required tokens
-        return f"{prefix}/{_literal_body(rng)}/{rng.choice(OPTIONS)}"
+        option = (rng.choice(["$match-case", "$image,match-case"])
+                  if rng.random() < 0.2 else rng.choice(OPTIONS))
+        return f"{prefix}/{_literal_body(rng)}/{option}"
     return f"{prefix}|http://{host}/{path}|"
 
 
@@ -109,15 +115,62 @@ def _url(rng: random.Random, list_hosts: list[str],
     return url
 
 
+def _zone_block(rng: random.Random) -> list[RequestFilter]:
+    """Consecutive literal filters sharing the required token ``zone``
+    (EasyList's ``/banner-zone-N/$image`` tail), a few of them
+    ``$match-case``, so runs are long and split where needles stop."""
+    word = rng.choice(HOST_WORDS + ["Ads", "ZONE"])
+    texts = []
+    for number in rng.sample(range(1, 40), rng.randrange(3, 13)):
+        option = rng.choice(["$image", "$image", "", "$image,match-case"])
+        texts.append(f"/{word}-zone-{number}/{option}")
+    return [parse_filter(text) for text in texts]
+
+
+def _near_miss(rng: random.Random, body: str) -> str:
+    """``body`` changed so it no longer occurs: a digit or letter off,
+    or its last character cut."""
+    roll = rng.randrange(3)
+    if roll == 0 and any(char.isdigit() for char in body):
+        return "".join("7" if char.isdigit() else char for char in body)
+    if roll == 1:
+        at = rng.randrange(len(body))
+        return body[:at] + ("q" if body[at] != "q" else "w") + body[at + 1:]
+    return body[:-1]
+
+
+def _body_url(rng: random.Random, list_bodies: list[str]) -> str:
+    """A URL around one of the list's literal bodies, spelled so the
+    substring test must fold case exactly as ``re.IGNORECASE`` does."""
+    body = rng.choice(list_bodies)
+    roll = rng.random()
+    if roll < 0.2:
+        body = body.upper()
+    elif roll < 0.4:
+        body = "".join(char.swapcase() if rng.random() < 0.5 else char
+                       for char in body)
+    elif roll < 0.55:
+        body = "".join(FOLDED.get(char, char) if rng.random() < 0.7
+                       else char for char in body)
+    if rng.random() < 0.3:
+        # Beside a near miss of itself or of another body, either side.
+        miss = _near_miss(rng, rng.choice(list_bodies))
+        body = (f"{miss}/{body}" if rng.random() < 0.5
+                else f"{body}{rng.choice(['', '/'])}{miss}")
+    elif rng.random() < 0.15:
+        body = _near_miss(rng, body)
+    # Glued (or not) to the text around it, so its edge tokens may or
+    # may not be URL tokens.
+    return (f"http://{rng.choice(HOST_WORDS)}.com/"
+            f"{rng.choice(['', 'x', '/', 'a-'])}"
+            f"{body}"
+            f"{rng.choice(['', 'y', '/', '.gif', '-b'])}")
+
+
 def _plain_url(rng: random.Random, list_hosts: list[str],
                list_paths: list[str], list_bodies: list[str]) -> str:
-    if list_bodies and rng.random() < 0.15:
-        # A literal body glued (or not) to the text around it, so its
-        # edge tokens may or may not be URL tokens.
-        return (f"http://{rng.choice(HOST_WORDS)}.com/"
-                f"{rng.choice(['', 'x', '/', 'a-'])}"
-                f"{rng.choice(list_bodies)}"
-                f"{rng.choice(['', 'y', '/', '.gif', '-b'])}")
+    if list_bodies and rng.random() < 0.2:
+        return _body_url(rng, list_bodies)
     segments = [rng.choice(PATH_WORDS + HOST_WORDS)
                 for _ in range(rng.randrange(0, 4))]
     if list_hosts and list_paths and rng.random() < 0.4:
@@ -150,6 +203,9 @@ def _build_corpus(seed: int, lists: int, urls_per_list: int):
         if not filters:
             continue
         rng.shuffle(filters)
+        if rng.random() < 0.5:
+            at = rng.randrange(len(filters) + 1)
+            filters[at:at] = _zone_block(rng)
         list_hosts = sorted({flt.pattern.anchored_hostname
                              for flt in filters
                              if flt.pattern is not None

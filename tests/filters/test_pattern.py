@@ -5,12 +5,14 @@ import pytest
 import re
 
 from repro.filters.index import _url_tokens
+from repro.filters.parser import InvalidFilter, parse_filter
 from repro.filters.pattern import (
     ASCII_FOLD,
     PatternError,
     compile_pattern,
     extract_keyword,
     keyword_candidates,
+    literal_body,
     required_tokens,
 )
 
@@ -134,6 +136,37 @@ class TestRegexPatterns:
     def test_is_regex_flag(self):
         assert compile_pattern("/x/").is_regex
         assert not compile_pattern("x").is_regex
+
+    def test_literal_body_compiles_on_first_match(self):
+        # Bypass the memo: a shared instance may already have matched.
+        pattern = compile_pattern.__wrapped__("/Banner-zone-14/")
+        assert pattern.is_regex
+        assert pattern._regex is None
+        assert pattern.matches("http://x.com/BANNER-Zone-14/a.gif")
+        assert pattern._regex is not None
+        assert not pattern.matches("http://x.com/banner-zone-1/a.gif")
+        assert not compile_pattern.__wrapped__(
+            "/Banner-zone-14/", match_case=True).matches(
+            "http://x.com/banner-zone-14/a.gif")
+
+    def test_other_raw_regex_compiles_at_parse_time(self):
+        assert compile_pattern.__wrapped__("/ad[0-9]+/")._regex is not None
+
+    def test_malformed_raw_regex_is_invalid_at_parse_time(self):
+        flt = parse_filter("/ad[/")
+        assert isinstance(flt, InvalidFilter)
+        assert "bad regex" in flt.error
+
+    @pytest.mark.parametrize("source,body", [
+        ("/pop-zone-2/", "pop-zone-2"),
+        ("/A%2C_b;c=d&e,f/", "A%2C_b;c=d&e,f"),
+        ("/ad[0-9]+/", None),
+        ("/ad.gif/", None),
+        ("//", None),
+        ("pop-zone-2", None),
+    ])
+    def test_literal_body(self, source, body):
+        assert literal_body(source) == body
 
 
 class TestKeywordExtraction:

@@ -150,6 +150,25 @@ class TestCompiledIndexInstrumentation:
         # ``matches``.
         assert counts == [2, 3]
 
+    def test_candidates_evaluated_skips_absent_literal_bodies(self):
+        engine = AdblockEngine()
+        engine.subscribe(parse_filter_list(
+            "/banner-zone-14/$image\n"     # fallback, literal body
+            "/track[0-9]+/\n",             # fallback, not literal
+            name="blocking"))
+        engine.freeze()
+        counts = []
+        for url in ("http://cdn.bannerfarm.net/banner-zone/banner.gif",
+                    "http://cdn.bannerfarm.net/banner-zone-14/x.gif"):
+            with observe() as (registry, _):
+                engine.check_request(url, ContentType.IMAGE,
+                                     "news.example", "cdn.bannerfarm.net")
+            counts.append(registry.flat()[
+                "filters.index.candidates_evaluated"])
+        # Both URLs hold the token 'zone'; only the second holds the
+        # body, so only there does the literal filter reach ``matches``.
+        assert counts == [1, 2]
+
     def test_artifact_load_events(self, tmp_path):
         from repro.serve.reload import (build_snapshot_from_sources,
                                         persist_snapshot_artifact)
