@@ -202,15 +202,17 @@ class EngineSnapshot:
     no method on it (or on any session over it) adds or removes filters
     — which is what makes one snapshot safely shareable between every
     request thread of a serving daemon, and buildable off-thread while
-    an old snapshot keeps serving (:mod:`repro.serve`).  Two memos
-    inside a compiled index fill lazily under that sharing: a keyword
+    an old snapshot keeps serving (:mod:`repro.serve`).  Three memos
+    fill lazily under that sharing: inside a compiled index, a keyword
     bucket's required-token runs and a single-hit ``candidates()``
-    tuple, each built on first use and stored with one dict assignment
-    under the GIL.  Both are pure functions of the immutable buckets, so
-    two threads that race on one key build equal values and one store
-    wins; the duplicate build is harmless.  The element-hiding index
-    (:class:`ElementHideIndex`) is built here, eagerly, by every path
-    that constructs a snapshot, so it has no lazy fill at all.
+    tuple, each stored with one dict assignment under the GIL; and each
+    filter's :class:`~repro.filters.pattern.CompiledPattern`, which
+    translates and compiles its regex on first match and stores it with
+    one attribute assignment.  All three are pure functions of immutable
+    inputs, so two threads that race on one key build equal values and
+    one store wins; the duplicate build is harmless.  The element-hiding
+    index (:class:`ElementHideIndex`) is built here, eagerly, by every
+    path that constructs a snapshot, so it has no lazy fill at all.
 
     Sessions are the thin mutable layer: :meth:`session` returns an
     :class:`AdblockEngine` that aliases the compiled structures but has

@@ -26,10 +26,12 @@ caches keep it cheap:
 
 * :func:`compile_pattern` is memoised per ``(source, match_case)``, so
   re-parsing the same list reuses the compiled objects outright;
-* the Python regex inside a :class:`CompiledPattern` is compiled
+* the Python regex inside a :class:`CompiledPattern` is built
   *lazily*, on first match — a filter that never reaches the matcher
-  (most of EasyList, for any one page) never pays ``re.compile``.  That
-  holds for translated patterns and for *literal* ``/.../`` bodies
+  (most of EasyList, for any one page) never pays the ABP → regex
+  translation nor ``re.compile``.  That holds for translated patterns
+  (only their ``anchored_hostname`` is computed up front) and for
+  *literal* ``/.../`` bodies
   (:func:`literal_body`: only ``[A-Za-z0-9%_,;=&-]``), which cannot
   fail to compile; the compiled index tests most of those with a
   substring check and never compiles them at all.  Any other raw
@@ -81,26 +83,26 @@ class CompiledPattern:
 
     The Python regex behind :attr:`regex` is built on first access and
     cached on the instance — raw regex patterns arrive pre-compiled
-    (their syntax errors must surface at parse time), translated
-    patterns and literal ``/.../`` bodies defer ``re.compile`` until the
-    filter is first matched.
+    (their syntax errors must surface at parse time), while translated
+    patterns defer both the ABP → regex translation and ``re.compile``,
+    and literal ``/.../`` bodies defer ``re.compile``, until the filter
+    is first matched.  That fill is idempotent and stored with one
+    attribute assignment, so threads sharing an instance may race on it
+    harmlessly.
     Instances are value-equal on ``(source, match_case)`` and treated as
     immutable; :func:`compile_pattern` shares them freely.
     """
 
     __slots__ = ("source", "is_regex", "match_case", "anchored_hostname",
-                 "_regex_source", "_flags", "_regex")
+                 "_regex")
 
-    def __init__(self, *, source: str, regex_source: str, flags: int,
-                 is_regex: bool, match_case: bool,
+    def __init__(self, *, source: str, is_regex: bool, match_case: bool,
                  anchored_hostname: str | None = None,
                  regex: re.Pattern[str] | None = None) -> None:
         self.source = source
         self.is_regex = is_regex
         self.match_case = match_case
         self.anchored_hostname = anchored_hostname
-        self._regex_source = regex_source
-        self._flags = flags
         self._regex = regex
 
     @property
@@ -108,8 +110,11 @@ class CompiledPattern:
         """The compiled regex, built on first use."""
         regex = self._regex
         if regex is None:
+            source = (self.source[1:-1] if self.is_regex
+                      else _translate(self.source))
             try:
-                regex = re.compile(self._regex_source, self._flags)
+                regex = re.compile(
+                    source, 0 if self.match_case else re.IGNORECASE)
             except re.error as exc:  # pragma: no cover - both are safe
                 raise PatternError(
                     f"failed to compile {self.source!r}: {exc}") from exc
@@ -144,34 +149,41 @@ def compile_pattern(source: str, match_case: bool = False) -> CompiledPattern:
     EasyList once per engine configuration, and every duplicate pattern
     across builds shares one compiled object.
     """
-    flags = 0 if match_case else re.IGNORECASE
-
     if len(source) >= 2 and source.startswith("/") and source.endswith("/"):
-        inner = source[1:-1]
         regex = None
         # A literal body cannot fail to compile, so it compiles lazily.
         if literal_body(source) is None:
             try:
-                regex = re.compile(inner, flags)
+                regex = re.compile(source[1:-1],
+                                   0 if match_case else re.IGNORECASE)
             except re.error as exc:
                 raise PatternError(
                     f"bad regex pattern {source!r}: {exc}") from exc
-        return CompiledPattern(source=source, regex_source=inner,
-                               flags=flags, regex=regex, is_regex=True,
+        return CompiledPattern(source=source, regex=regex, is_regex=True,
                                match_case=match_case)
 
+    anchored_hostname: str | None = None
+    if source.startswith("||"):
+        host_match = _HOST_RE.match(source, 2)
+        if host_match:
+            anchored_hostname = host_match.group().lower()
+    return CompiledPattern(source=source, is_regex=False,
+                           match_case=match_case,
+                           anchored_hostname=anchored_hostname)
+
+
+#: The ``host`` of a ``||host`` pattern.
+_HOST_RE = re.compile(r"[a-z0-9\-]+(?:\.[a-z0-9\-]+)*", re.IGNORECASE)
+
+
+def _translate(source: str) -> str:
+    """The regex for a non-``/.../`` pattern: anchors, then the body."""
     text = source
     parts: list[str] = []
-    anchored_hostname: str | None = None
-
     if text.startswith("||"):
         text = text[2:]
         # Scheme, then any chain of subdomain labels, then the pattern.
         parts.append(r"^[a-z][a-z0-9+.\-]*://(?:[^/?#]*\.)?")
-        host_match = re.match(r"^([a-z0-9\-]+(?:\.[a-z0-9\-]+)*)", text,
-                              re.IGNORECASE)
-        if host_match:
-            anchored_hostname = host_match.group(1).lower()
     elif text.startswith("|"):
         text = text[1:]
         parts.append("^")
@@ -184,11 +196,7 @@ def compile_pattern(source: str, match_case: bool = False) -> CompiledPattern:
     parts.append(_translate_body(text))
     if end_anchor:
         parts.append("$")
-
-    return CompiledPattern(source=source, regex_source="".join(parts),
-                           flags=flags, is_regex=False,
-                           match_case=match_case,
-                           anchored_hostname=anchored_hostname)
+    return "".join(parts)
 
 
 def _translate_body(text: str) -> str:

@@ -50,8 +50,15 @@ def _is_filter_line(line: str) -> bool:
     return bool(line) and not line.startswith("!")
 
 
-def _domains_of(line: str, cache: dict[str, tuple[str, ...]]
-                ) -> tuple[str, ...]:
+def domains_of(line: str, cache: dict[str, tuple[str, ...]]
+               ) -> tuple[str, ...]:
+    """The first-party domains a filter line is restricted to.
+
+    ``()`` for unrestricted and malformed lines.  Each line is parsed at
+    most once per ``cache``; the history generator seeds its cache with
+    the domains of every line it formats, so only hand-written lines
+    reach the parser.
+    """
     cached = cache.get(line)
     if cached is None:
         from repro.filters.parser import parse_filter
@@ -82,13 +89,13 @@ def yearly_activity(repo: Repository) -> list[YearActivity]:
         # Adds first: a same-revision modification keeps the domain's
         # reference count positive throughout.
         for line in added_filters:
-            for domain in _domains_of(line, cache):
+            for domain in domains_of(line, cache):
                 refcount[domain] = refcount.get(domain, 0) + 1
                 if domain not in seen_domains:
                     seen_domains.add(domain)
                     row.domains_added += 1
         for line in removed_filters:
-            for domain in _domains_of(line, cache):
+            for domain in domains_of(line, cache):
                 refcount[domain] -= 1
                 if refcount[domain] == 0:
                     row.domains_removed += 1

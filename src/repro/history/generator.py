@@ -28,9 +28,11 @@ site survey uses to wire whitelisted publishers' pages to their filters.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 
+from repro.history.analysis import domains_of
 from repro.history.repository import Repository
 from repro.measurement.alexa import StudyPopulation, build_study_population
 from repro.sitekey.der import public_key_to_base64
@@ -50,6 +52,9 @@ FORUM_URL = "https://adblockplus.org/forum/viewtopic.php?f=12&t={topic}"
 
 #: The Rev-326 truncation limit (Section 8).
 _TRUNCATION_LENGTH = 4095
+
+#: A modified filter's marker segment at the end of its pattern.
+_MOD_MARKER_RE = re.compile(r"/m\d+/$")
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,7 +195,10 @@ class _HistoryBuilder:
 
         self.publisher_directory: dict[str, list[str]] = {}
         self.sitekeys: dict[str, str] = {}
-        self._active_texts: set[str] = set()
+        #: line -> the domains it is restricted to.  The factories record
+        #: the domains of every line they format; only hand-written lines
+        #: (pinned, catalog, sitekey, truncated) are parsed, once each.
+        self._domain_cache: dict[str, tuple[str, ...]] = {}
         self._modifiable: list[str] = []
         self._mod_counter = 0
         self._extra_counter = 0
@@ -198,7 +206,6 @@ class _HistoryBuilder:
         self._duplicates_budget = 35
         self._churn_texts: set[str] = set()
         self._dup_texts: set[str] = set()
-        self._domain_cache: dict[str, tuple[str, ...]] = {}
         self._sitekey_lines: dict[str, list[str]] = {}
         #: Revisions that must stay "pure" (landmark groups): balance
         #: fills stay off them so positional group mining is exact.
@@ -226,26 +233,19 @@ class _HistoryBuilder:
                 return rev
         return len(self.calendar) - 1
 
-    def _register(self, lines: list[str]) -> None:
-        for line in lines:
-            if _is_filter_line(line):
-                self._active_texts.add(line)
-
-    def _unregister(self, lines: list[str]) -> None:
-        for line in lines:
-            self._active_texts.discard(line)
-
     def _record_publisher(self, filters: list[str]) -> None:
-        from repro.filters.parser import parse_filter
-
         for text in filters:
-            parsed = parse_filter(text)
-            for domain in getattr(parsed, "restricted_domains", ()):
+            for domain in domains_of(text, self._domain_cache):
                 self.publisher_directory.setdefault(domain, [])
                 if text not in self.publisher_directory[domain]:
                     self.publisher_directory[domain].append(text)
 
     # -- content factories ------------------------------------------------
+
+    def _formatted(self, text: str, *domains: str) -> str:
+        """Record the domains a line formatted here is restricted to."""
+        self._domain_cache[text] = domains
+        return text
 
     def _a_group_domain(self) -> str:
         if self._a_group_cursor <= self._pool_root_cursor:
@@ -271,13 +271,13 @@ class _HistoryBuilder:
         from repro.web.url import registered_domain
 
         e2ld = registered_domain(fqd)
-        return (f"@@||adserv.genericnet.com/slot/{e2ld}/"
-                f"$script,domain={fqd}")
+        return self._formatted(f"@@||adserv.genericnet.com/slot/{e2ld}/"
+                               f"$script,domain={fqd}", fqd)
 
     def _extra_filter(self, fqd: str) -> str:
         self._extra_counter += 1
-        return (f"@@||trackpix{self._extra_counter}.net/px.gif"
-                f"$image,domain={fqd}")
+        return self._formatted(f"@@||trackpix{self._extra_counter}.net/"
+                               f"px.gif$image,domain={fqd}", fqd)
 
     def _make_unrestricted_fillers(self) -> list[str]:
         """The long tail of unrestricted conversion-tracking filters.
@@ -292,7 +292,7 @@ class _HistoryBuilder:
         # catalog AdSense entry, so the synthetic tail accounts for them.
         synthetic_needed = 156 - len(catalog) - 2
         synthetic = [
-            f"@@||convtrack{i:03d}-metrics.com^$third-party"
+            self._formatted(f"@@||convtrack{i:03d}-metrics.com^$third-party")
             for i in range(synthetic_needed)
         ]
         return catalog + synthetic
@@ -463,9 +463,9 @@ class _HistoryBuilder:
                   if p.kind == "google-cctld"]
         lines: list[str] = []
         for domain in cctlds:
-            lines.append(
+            lines.append(self._formatted(
                 f"@@||{domain}/ads/search/module/ads/*/search.js"
-                f"$script,domain={domain}")
+                f"$script,domain={domain}", domain))
         google_filters = list(PINNED_PROFILES["google.com"].whitelist_filters)
         lines.extend(google_filters)
         # Google's unrestricted network exceptions — the Table 4 head —
@@ -475,9 +475,10 @@ class _HistoryBuilder:
         pad_target = 1262 - len(lines)
         for i in range(pad_target):
             domain = cctlds[i % len(cctlds)]
-            lines.append(
+            lines.append(self._formatted(
                 f"@@||{domain}/afs/ads/v{i // len(cctlds)}/"
-                f"$script,domain=www.google.com|{domain}")
+                f"$script,domain=www.google.com|{domain}",
+                "www.google.com", domain))
         assert len(lines) == 1262
         self._reserved_revs.add(rev)
         self.plan.add(rev, lines,
@@ -494,9 +495,9 @@ class _HistoryBuilder:
         lines = list(PINNED_PROFILES["about.com"].whitelist_filters)
         for i in range(0, len(subdomains), 2):
             pair = subdomains[i:i + 2]
-            lines.append(
+            lines.append(self._formatted(
                 "@@||google.com/adsense/search/ads.js$domain="
-                + "|".join(pair))
+                + "|".join(pair), *pair))
         self.plan.add(rev, lines,
                       "AdSense for search on about.com properties "
                       + FORUM_URL.format(topic=self.plan.next_topic()),
@@ -573,10 +574,10 @@ class _HistoryBuilder:
                 d1 = self._a_group_domain()
                 d2 = self._a_group_domain()
                 filters = [
-                    f"@@||{d1}^$elemhide",
-                    f"@@||google.com/adsense/search/ads.js"
-                    f"$domain={d1}|{d2}",
-                    f"@@||{d2}^$elemhide",
+                    self._formatted(f"@@||{d1}^$elemhide", d1),
+                    self._formatted(f"@@||google.com/adsense/search/ads.js"
+                                    f"$domain={d1}|{d2}", d1, d2),
+                    self._formatted(f"@@||{d2}^$elemhide", d2),
                 ]
             message = ("Added new whitelists." if rev == 304
                        else "Updated whitelists.")
@@ -624,31 +625,16 @@ class _HistoryBuilder:
             removed += sum(1 for l in plan.removed if _is_filter_line(l))
         return added, removed
 
-    def _domains_of(self, line: str) -> tuple[str, ...]:
-        cached = self._domain_cache.get(line)
-        if cached is None:
-            from repro.filters.parser import parse_filter
-
-            parsed = parse_filter(line)
-            cached = tuple(getattr(parsed, "restricted_domains", ()))
-            self._domain_cache[line] = cached
-        return cached
-
-    def _structural_domains(self, year: int) -> int:
-        """First-appearance FQD count from the structural plan."""
+    def _first_appearances(self) -> dict[str, int]:
+        """Each FQD's first revision in the structural plan."""
         assert self.plan is not None
-        seen: set[str] = set()
-        per_year: dict[int, int] = {y: 0 for y in YEARLY_TARGETS}
+        first_rev: dict[str, int] = {}
         for rev, plan in enumerate(self.plan.revs):
-            rev_year = self.year_of_rev[rev]
             for line in plan.added:
-                if not _is_filter_line(line):
-                    continue
-                for domain in self._domains_of(line):
-                    if domain not in seen:
-                        seen.add(domain)
-                        per_year[rev_year] += 1
-        return per_year[year]
+                if _is_filter_line(line):
+                    for domain in domains_of(line, self._domain_cache):
+                        first_rev.setdefault(domain, rev)
+        return first_rev
 
     def _schedule_balance(self) -> None:
         """Add churn (domain removals/re-adds), mods, and extra adds so
@@ -707,8 +693,10 @@ class _HistoryBuilder:
 
         # 2012 churn removes 5 temp domains (all of 2012's removals).
         # Generic growth: new pool FQDs to land domains_added exactly.
+        first_rev = self._first_appearances()
         for year in YEARLY_TARGETS:
-            structural = self._structural_domains(year)
+            structural = sum(1 for rev in first_rev.values()
+                             if self.year_of_rev[rev] == year)
             target = YEARLY_TARGETS[year].domains_added
             deficit = target - structural
             if deficit < 0:
@@ -723,6 +711,8 @@ class _HistoryBuilder:
                 rev = revs[4 + (i % max(1, len(revs) - 8))]
                 plan.add(rev, [text], "Updated whitelists.")
                 self._record_publisher([text])
+                if rev < first_rev.get(fqd, len(self.calendar)):
+                    first_rev[fqd] = rev
 
         # Mods and extras: bring filter add/remove counts to target.
         for year, targets in YEARLY_TARGETS.items():
@@ -786,9 +776,9 @@ class _HistoryBuilder:
                     added.append(self._extra_filter(fqd))
                 else:
                     self._extra_counter += 1
-                    added.append(
+                    added.append(self._formatted(
                         f"@@||trackpix{self._extra_counter}.net/px.gif"
-                        f"$image,third-party")
+                        f"$image,third-party"))
 
             message = plan.message or "Updated whitelists."
             repo.commit(self.calendar[rev], message,
@@ -802,7 +792,8 @@ class _HistoryBuilder:
                 if (line.startswith("@@||adserv.genericnet.com/")
                         and line not in self._churn_texts):
                     self._modifiable.append(line)
-                    extra_targets.extend(self._domains_of(line))
+                    extra_targets.extend(
+                        domains_of(line, self._domain_cache))
         return repo
 
     def _pick_modifiable(self, rng: random.Random,
@@ -823,13 +814,13 @@ class _HistoryBuilder:
 
         Any previous modification marker is replaced, so repeatedly
         modified filters stay short (real modifications rewrite the
-        pattern, they do not accrete)."""
-        import re as _re
-
+        pattern, they do not accrete).  Only the pattern changes, so the
+        result keeps its victim's domains."""
         marker = f"/m{self._mod_counter}/"
         head, sep, tail = text.partition("$")
-        head = _re.sub(r"/m\d+/$", "/", head.rstrip("/") + "/")
-        return f"{head.rstrip('/')}{marker}{sep}{tail}"
+        head = _MOD_MARKER_RE.sub("/", head.rstrip("/") + "/")
+        return self._formatted(f"{head.rstrip('/')}{marker}{sep}{tail}",
+                               *domains_of(text, self._domain_cache))
 
     # -- orchestration -------------------------------------------------------
 

@@ -47,7 +47,9 @@ class Repository:
     """An append-only filter-list history.
 
     The working content is a *multiset* of lines with stable ordering
-    (insertion order; removals delete one occurrence).  Snapshots are
+    (insertion order; a removal deletes the first live occurrence).  It
+    is updated in place through a line → positions index, so a commit
+    costs the size of its delta, not of the list.  Snapshots are
     reconstructed by replaying deltas, with a periodic snapshot cache so
     ``checkout`` stays fast for any revision.
     """
@@ -57,7 +59,13 @@ class Repository:
     def __init__(self, name: str = "exceptionrules") -> None:
         self.name = name
         self._changesets: list[Changeset] = []
-        self._content: list[str] = []
+        #: The working content in insertion order; a removed line leaves
+        #: a ``None`` tombstone so every later position stays valid.
+        self._slots: list[str | None] = []
+        #: line -> ascending positions of its live occurrences in
+        #: ``_slots`` (plain lists: almost every line occurs once).
+        self._positions: dict[str, list[int]] = {}
+        self._live_lines = 0
         self._snapshots: dict[int, tuple[str, ...]] = {}
 
     # -- commit -----------------------------------------------------------
@@ -76,22 +84,46 @@ class Repository:
             raise RepositoryError(
                 f"changeset date {when} precedes tip "
                 f"{self._changesets[-1].when}")
-        working = list(self._content)
+        # Validate the whole delta before touching the content, so a
+        # refused commit changes nothing.
+        taking: dict[str, int] = {}
         for line in removed_t:
-            try:
-                working.remove(line)
-            except ValueError:
+            wanted = taking.get(line, 0) + 1
+            if wanted > len(self._positions.get(line, ())):
                 raise RepositoryError(
-                    f"cannot remove absent line {line!r}") from None
-        working.extend(added_t)
+                    f"cannot remove absent line {line!r}")
+            taking[line] = wanted
+        slots = self._slots
+        positions = self._positions
+        for line in removed_t:
+            live = positions[line]
+            slots[live.pop(0)] = None     # the first live occurrence
+            if not live:
+                del positions[line]
+        for line in added_t:
+            positions.setdefault(line, []).append(len(slots))
+            slots.append(line)
+        self._live_lines += len(added_t) - len(removed_t)
+        if len(slots) > 2 * self._live_lines + 64:
+            self._compact()
         changeset = Changeset(rev=len(self._changesets), when=when,
                               message=message, added=added_t,
                               removed=removed_t)
         self._changesets.append(changeset)
-        self._content = working
         if changeset.rev % self._SNAPSHOT_EVERY == 0:
-            self._snapshots[changeset.rev] = tuple(working)
+            self._snapshots[changeset.rev] = tuple(self._live())
         return changeset
+
+    def _live(self) -> list[str]:
+        """The working content: the slots without their tombstones."""
+        return [line for line in self._slots if line is not None]
+
+    def _compact(self) -> None:
+        """Drop the tombstones (once they outnumber the live lines by 64)."""
+        self._slots = self._live()
+        self._positions = {}
+        for position, line in enumerate(self._slots):
+            self._positions.setdefault(line, []).append(position)
 
     # -- history access ----------------------------------------------------
 
@@ -136,7 +168,7 @@ class Repository:
         """The full list content as of revision ``rev`` (inclusive)."""
         self._check_rev(rev)
         if rev == len(self._changesets) - 1:
-            return list(self._content)
+            return self._live()
         # Rev 0 always has a snapshot (0 % _SNAPSHOT_EVERY == 0), so the
         # nearest snapshot at or below ``rev`` always exists.
         base_rev = (rev // self._SNAPSHOT_EVERY) * self._SNAPSHOT_EVERY

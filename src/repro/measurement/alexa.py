@@ -21,9 +21,11 @@ We synthesise a deterministic 1M-entry ranking:
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import random
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.web.sites import PINNED_PROFILES
@@ -212,14 +214,38 @@ def whitelisted_rank_sets(ranking: AlexaRanking) -> WhitelistedRanks:
             raise ValueError(
                 f"pinned publishers already exceed the {high} partition "
                 f"target ({have} > {needed})")
-        candidates = [r for r in range(low, high + 1)
-                      if r not in chosen and r not in pinned_excluded]
-        chosen.update(rng.sample(candidates, missing))
+        excluded = sorted(r for r in chosen | pinned_excluded
+                          if low <= r <= high)
+        chosen.update(rng.sample(_RanksExcept(low, high, excluded),
+                                 missing))
         previous_cumulative = cumulative
 
     unranked = TOTAL_WHITELISTED_E2LDS - len(chosen)
     return WhitelistedRanks(ranks=tuple(sorted(chosen)),
                             unranked_count=unranked)
+
+
+class _RanksExcept(Sequence):
+    """The ranks ``low..high`` minus the sorted ``excluded``, ascending.
+
+    Indexes like the list it stands for without building it (the last
+    partition spans 995,000 ranks): ``random.sample`` only takes the
+    length and indexes, so a draw from it equals a draw from the list.
+    """
+
+    def __init__(self, low: int, high: int, excluded: list[int]) -> None:
+        self._low = low
+        self._len = high - low + 1 - len(excluded)
+        #: How many allowed ranks precede each excluded one.
+        self._gaps = [rank - low - i for i, rank in enumerate(excluded)]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> int:
+        if not 0 <= index < self._len:
+            raise IndexError(index)
+        return self._low + index + bisect.bisect_right(self._gaps, index)
 
 
 # ---------------------------------------------------------------------------

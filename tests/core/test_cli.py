@@ -75,6 +75,12 @@ class TestParser:
         (["table1", "--flight-capacity", "0"], "--flight-capacity"),
         (["serve", "--port", "70000"], "--port"),
         (["serve", "--deadline-ms", "-5"], "--deadline-ms"),
+        (["exploit", "--bits", "100000"], "--bits"),
+        (["blockable", "exa mple.com"], "domain"),
+        (["blockable", "ex..ample.com"], "domain"),
+        (["blockable", "example.com:99999"], "domain"),
+        (["blockable", "http://x"], "domain"),
+        (["blockable", ""], "domain"),
     ])
     def test_out_of_range_values_are_usage_errors(self, argv, option,
                                                   capsys):

@@ -149,6 +149,24 @@ class TestRegexPatterns:
             "/Banner-zone-14/", match_case=True).matches(
             "http://x.com/banner-zone-14/a.gif")
 
+    def test_ordinary_pattern_translates_on_first_match(self, monkeypatch):
+        from repro.filters import pattern as pattern_module
+
+        translated = []
+        real = pattern_module._translate
+
+        def counting(source):
+            translated.append(source)
+            return real(source)
+
+        monkeypatch.setattr(pattern_module, "_translate", counting)
+        pattern = compile_pattern.__wrapped__("||Ads.example.com^*banner")
+        assert pattern.anchored_hostname == "ads.example.com"
+        assert translated == []
+        assert pattern.matches("https://cdn.ads.example.com/x/banner.gif")
+        assert not pattern.matches("http://ads.example.company/banner")
+        assert translated == ["||Ads.example.com^*banner"]
+
     def test_other_raw_regex_compiles_at_parse_time(self):
         assert compile_pattern.__wrapped__("/ad[0-9]+/")._regex is not None
 

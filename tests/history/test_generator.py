@@ -130,3 +130,53 @@ class TestDeterminism:
         assert again.tip_lines() == history.tip_lines()
         assert [c.message for c in again.repository.log()] == \
             [c.message for c in history.repository.log()]
+
+
+class TestDomainRecording:
+    """The generator records the domains of the lines it formats and
+    parses only the lines written out by hand."""
+
+    def test_parses_only_hand_written_lines(self, monkeypatch):
+        from repro.filters import parser
+        from repro.history.generator import generate_history
+        from repro.web.adnetworks import whitelisted_networks
+        from repro.web.sites import PINNED_PROFILES
+
+        parsed: list[str] = []
+        real = parser.parse_filter
+
+        def counting(line):
+            parsed.append(line)
+            return real(line)
+
+        monkeypatch.setattr(parser, "parse_filter", counting)
+        history = generate_history(seed=2015, key_bits=128)
+        monkeypatch.undo()
+
+        hand_written = set()
+        for profile in PINNED_PROFILES.values():
+            hand_written.update(profile.whitelist_filters)
+        for network in whitelisted_networks():
+            hand_written.update(network.whitelist_filters)
+        hand_written.update(
+            line for changeset in history.repository.log()
+            for line in changeset.added
+            if "sitekey=" in line or len(line) == 4095)
+        # Written inline in the generator: golem.de's first two search-ads
+        # lines, A46's three kayak lines and A59's three AdSense lines.
+        inline = 8
+        assert len(parsed) == len(set(parsed))
+        assert len(parsed) <= len(hand_written) + inline
+
+    def test_recorded_domains_equal_parsed_domains(self):
+        from repro.history.generator import _HistoryBuilder, _is_filter_line
+
+        builder = _HistoryBuilder(seed=2015, key_bits=128, population=None)
+        history = builder.build()
+        lines = {line for changeset in history.repository.log()
+                 for line in changeset.added + changeset.removed
+                 if _is_filter_line(line)}
+        assert len(lines) > 6_000
+        for line in sorted(lines):
+            expected = getattr(parse_filter(line), "restricted_domains", ())
+            assert builder._domain_cache[line] == expected, line

@@ -2,10 +2,13 @@
 
 from datetime import date, timedelta
 
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.history.repository import Repository
+from repro.history.repository import Repository, RepositoryError
 
 _LINE = st.text(alphabet="abcdef|@^.", min_size=1, max_size=10).map(
     lambda s: "@@||" + s)
@@ -87,3 +90,80 @@ class TestRepositoryInvariants:
         before = Counter(repo.checkout(mid))
         after = Counter(repo.checkout(last))
         assert before + Counter(added) - Counter(removed) == after
+
+
+#: Few distinct lines, so duplicates and repeated removals are common.
+_FEW_LINES = st.sampled_from(["@@||a^", "@@||b^", "@@||c^", "@@||d^"])
+_ABSENT = "@@||never-added^"
+
+
+@st.composite
+def _commits_with_a_refusal(draw):
+    """Deltas over a naive list model, one of them a refused commit.
+
+    Every delta may add duplicates and remove present lines (the same
+    line more than once when it occurs more than once).  Exactly one
+    delta also removes a line that is absent, after its valid removals.
+    Returns ``[(added, removed, refused), ...]``.
+    """
+    steps = draw(st.integers(min_value=1, max_value=150))
+    refused_at = draw(st.integers(min_value=0, max_value=steps - 1))
+    model: list[str] = []
+    plan = []
+    for step in range(steps):
+        added = draw(st.lists(_FEW_LINES, max_size=4))
+        pool = list(model)
+        removed = []
+        for line in draw(st.lists(_FEW_LINES, max_size=3)):
+            if line in pool:
+                pool.remove(line)
+                removed.append(line)
+        if step == refused_at:
+            at = draw(st.integers(min_value=0, max_value=len(removed)))
+            plan.append((added, removed[:at] + [_ABSENT] + removed[at:],
+                         True))
+            continue
+        plan.append((added, removed, False))
+        for line in removed:
+            model.remove(line)
+        model.extend(added)
+    return plan
+
+
+class TestRepositoryAgainstListModel:
+    @given(_commits_with_a_refusal())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_list_model(self, plan):
+        """Removal takes the first occurrence; a refused commit changes
+        nothing; checkout, tip and diff agree with a plain list."""
+        repo = Repository()
+        model: list[str] = []
+        states: list[list[str]] = []
+        day = date(2011, 10, 3)
+        for i, (added, removed, refused) in enumerate(plan):
+            when = day + timedelta(days=i)
+            if refused:
+                revisions = len(repo)
+                with pytest.raises(RepositoryError, match="absent line"):
+                    repo.commit(when, "m", added=added, removed=removed)
+                assert len(repo) == revisions
+                if revisions:
+                    assert repo.checkout(revisions - 1) == model
+                continue
+            repo.commit(when, "m", added=added, removed=removed)
+            for line in removed:
+                model.remove(line)
+            model.extend(added)
+            states.append(list(model))
+
+        assert len(repo) == len(states)
+        for rev, state in enumerate(states):
+            assert repo.checkout(rev) == state
+        if states:
+            assert repo.tip.rev == len(states) - 1
+            for a, b in {(0, len(states) - 1),
+                         (len(states) // 2, len(states) - 1)}:
+                added, removed = repo.diff(a, b)
+                before, after = Counter(states[a]), Counter(states[b])
+                assert Counter(added) == after - before
+                assert Counter(removed) == before - after

@@ -1,6 +1,10 @@
 """Unit tests for the synthetic Alexa ranking and study population."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.measurement.alexa import (
     AlexaRanking,
@@ -9,6 +13,7 @@ from repro.measurement.alexa import (
     TOTAL_WHITELISTED_E2LDS,
     build_study_population,
     google_cctld_domains,
+    _RanksExcept,
     whitelisted_rank_sets,
 )
 
@@ -100,6 +105,25 @@ class TestWhitelistedRanks:
     def test_total_is_1990(self, ranking):
         designated = whitelisted_rank_sets(ranking)
         assert designated.total == TOTAL_WHITELISTED_E2LDS
+
+    @given(st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=40),
+           st.sets(st.integers(min_value=0, max_value=80)),
+           st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_candidates_sample_like_the_list(self, low, width,
+                                                  excluded, seed):
+        """``random.sample`` over the lazy rank sequence draws exactly
+        what it draws over the materialised candidate list."""
+        high = low + width
+        excluded = sorted(r for r in excluded if low <= r <= high)
+        lazy = _RanksExcept(low, high, excluded)
+        listed = [r for r in range(low, high + 1) if r not in excluded]
+        assert len(lazy) == len(listed)
+        assert list(lazy) == listed
+        k = seed % (len(listed) + 1)
+        assert random.Random(seed).sample(lazy, k) == \
+            random.Random(seed).sample(listed, k)
 
     def test_non_whitelisted_pinned_excluded(self, ranking):
         designated = whitelisted_rank_sets(ranking)
