@@ -33,6 +33,7 @@ import sys
 
 from repro.core.study import AcceptableAdsStudy, StudyConfig
 from repro.measurement.survey import SurveyConfig
+from repro.parallel.leases import DEFAULT_LEASE_SIZE
 
 __all__ = ["main", "build_parser"]
 
@@ -115,6 +116,13 @@ def _host(text: str) -> str:
 #: 96-bit one took 202 s.
 _MAX_EXPLOIT_BITS = 88
 
+#: The largest ``repro survey --workers``.  One parent process dispatches
+#: every lease and restores every unit's result itself; at 2 workers it
+#: was measured spending about half of a serial run's CPU doing so, so it
+#: saturates long before 64 workers.  The ceiling also keeps a mistyped
+#: count from forking thousands of processes.
+_MAX_WORKERS = 64
+
 
 def _port(text: str) -> int:
     """argparse ``type`` for a TCP port number (0 picks a free one)."""
@@ -191,18 +199,21 @@ def build_parser() -> argparse.ArgumentParser:
                         default=2,
                         help="retries per target beyond the first "
                              "attempt")
-    survey.add_argument("--workers", type=_int_at_least(1),
+    survey.add_argument("--workers", type=_int_at_least(1, _MAX_WORKERS),
                         default=None,
                         metavar="N",
                         help="crawl across N supervised worker "
-                             "processes (results identical for every "
-                             "N; default: in-process)")
+                             f"processes, 1 to {_MAX_WORKERS} (results "
+                             "identical for every N; never more workers "
+                             "than units; default: in-process)")
     survey.add_argument("--lease-size", type=_int_at_least(1),
-                        default=4,
+                        default=DEFAULT_LEASE_SIZE,
                         metavar="K",
-                        help="units per lease handed to a worker "
-                             "(default 4; smaller = finer stealing, "
-                             "more dispatch overhead)")
+                        help="most units granted to a worker at once "
+                             f"(default {DEFAULT_LEASE_SIZE}); grants "
+                             "shrink toward 1 near the end of the run. "
+                             "Each lease costs a pipe round trip and a "
+                             "journal fsync")
     survey.add_argument("--max-worker-restarts", type=_int_at_least(0),
                         default=4,
                         metavar="N",
@@ -367,7 +378,7 @@ def _study(args) -> AcceptableAdsStudy:
             fault_seed=getattr(args, "fault_seed", 0),
             max_retries=getattr(args, "max_retries", 2),
             workers=getattr(args, "workers", None),
-            lease_size=getattr(args, "lease_size", 4),
+            lease_size=getattr(args, "lease_size", DEFAULT_LEASE_SIZE),
             max_worker_restarts=getattr(
                 args, "max_worker_restarts", 4)),
         zone_scale_divisor=getattr(args, "divisor", 5_000),

@@ -85,6 +85,17 @@ _TYPE_OPTIONS: dict[str, ContentType] = {
     "dtd": ContentType.DTD,
 }
 
+#: option keyword -> content-type bit as a plain int.  Parsing ORs ints
+#: and boxes each distinct mask into a ``ContentType`` once (see
+#: :func:`_content_type`): an ``IntFlag`` ``|`` runs the enum constructor,
+#: ~40x the cost of an int ``|``.
+_TYPE_BITS: dict[str, int] = {keyword: int(content_type)
+                              for keyword, content_type
+                              in _TYPE_OPTIONS.items()}
+
+#: mask -> its ``ContentType``; a list holds only a few distinct masks.
+_CONTENT_TYPES: dict[int, ContentType] = {}
+
 DEPRECATED_OPTIONS = frozenset({"background", "xbl", "ping", "dtd"})
 
 
@@ -200,8 +211,8 @@ def parse_options(text: str) -> FilterOptions:
     ``donottrack``), and on empty entries.
     """
     options = FilterOptions(raw=text)
-    include = ContentType(0)
-    exclude = ContentType(0)
+    include = 0
+    exclude = 0
     deprecated: list[str] = []
 
     for piece in text.split(","):
@@ -228,13 +239,14 @@ def parse_options(text: str) -> FilterOptions:
                 raise OptionError(f"unknown option {keyword!r}")
             continue
 
-        if keyword in _TYPE_OPTIONS:
+        bit = _TYPE_BITS.get(keyword)
+        if bit is not None:
             if keyword in DEPRECATED_OPTIONS:
                 deprecated.append(keyword)
             if negated:
-                exclude |= _TYPE_OPTIONS[keyword]
+                exclude |= bit
             else:
-                include |= _TYPE_OPTIONS[keyword]
+                include |= bit
         elif keyword == "third-party":
             options.third_party = TriState.NO if negated else TriState.YES
         elif keyword == "collapse":
@@ -250,10 +262,18 @@ def parse_options(text: str) -> FilterOptions:
         else:
             raise OptionError(f"unknown option {keyword!r}")
 
-    options.include_types = include
-    options.exclude_types = exclude
+    options.include_types = _content_type(include)
+    options.exclude_types = _content_type(exclude)
     options.deprecated_used = tuple(deprecated)
     return options
+
+
+def _content_type(mask: int) -> ContentType:
+    """``ContentType(mask)``, built once per distinct mask."""
+    content_type = _CONTENT_TYPES.get(mask)
+    if content_type is None:
+        content_type = _CONTENT_TYPES[mask] = ContentType(mask)
+    return content_type
 
 
 def _parse_domain_list(value: str, options: FilterOptions) -> None:

@@ -257,6 +257,14 @@ class InvalidFilter(Filter):
 
 _ELEMENT_SEPARATOR_RE = re.compile(r"(#@#|##)")
 
+#: ABP's own option recogniser: a comma-separated list of (optionally
+#: negated) option words, each optionally carrying an ``=value`` whose
+#: value may contain anything but a comma (base64 sitekeys included).
+_OPTIONS_RE = re.compile(r"~?[\w-]+(=[^,]*)?(,~?[\w-]+(=[^,]*)?)*")
+
+#: ``$document`` / ``$elemhide``: the exception-only privilege types.
+_PRIVILEGE_TYPES = int(ContentType.DOCUMENT | ContentType.ELEMHIDE)
+
 
 #: Metric label for each parse outcome (``filters.parse.lines``).
 _PARSE_KIND = {
@@ -339,8 +347,7 @@ def _parse_request(text: str) -> Filter:
 
     if options.has_sitekey and not is_exception:
         return InvalidFilter(text, error="sitekey= only valid on exceptions")
-    if (options.include_types & (ContentType.DOCUMENT | ContentType.ELEMHIDE)
-            and not is_exception):
+    if options.include_types & _PRIVILEGE_TYPES and not is_exception:
         return InvalidFilter(
             text, error="document/elemhide only valid on exceptions")
 
@@ -381,9 +388,6 @@ def _split_options(body: str) -> tuple[str, str]:
             return "", body[1:]
         return body, ""
     candidate = body[index + 1:]
-    # ABP's own option recogniser: a comma-separated list of (optionally
-    # negated) option words, each optionally carrying an ``=value`` whose
-    # value may contain anything but a comma (base64 sitekeys included).
-    if re.fullmatch(r"~?[\w-]+(=[^,]*)?(,~?[\w-]+(=[^,]*)?)*", candidate):
+    if _OPTIONS_RE.fullmatch(candidate):
         return body[:index], candidate
     return body, ""

@@ -29,6 +29,7 @@ from repro.obs import OBS
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from repro.history.generator import WhitelistHistory
 from repro.measurement.samples import SampleGroup, build_samples
+from repro.parallel.leases import DEFAULT_LEASE_SIZE
 from repro.parallel.scheduler import run_stealing_survey
 from repro.state.checkpoint import Checkpoint
 from repro.web.crawler import (
@@ -66,8 +67,8 @@ class SurveyConfig:
     derived rng and a clock rewound to zero, so results are
     byte-identical for every ``workers`` value, and checkpoints resume
     across worker-count changes.  ``workers`` ``None`` (default) or 1 crawls in-process;
-    N >= 2 forks N supervised workers.  ``lease_size`` and
-    ``max_worker_restarts`` tune the forked scheduler.
+    N >= 2 forks N supervised workers.  ``lease_size`` (the largest
+    lease) and ``max_worker_restarts`` tune the forked scheduler.
     ``steal_crash_injector`` is the deterministic worker-death harness
     (tests/benchmarks); like ``workers`` it never enters the
     fingerprint — a kill schedule is not a result.
@@ -85,7 +86,7 @@ class SurveyConfig:
     max_retries: int = 2
     workers: int | None = None
     scheduler: str = "steal"
-    lease_size: int = 4
+    lease_size: int = DEFAULT_LEASE_SIZE
     max_worker_restarts: int = 4
     steal_crash_injector: object | None = None
 

@@ -9,10 +9,13 @@ lease is the unit of both load balancing (a slow worker simply claims
 fewer leases) and failure recovery (a dead worker forfeits exactly its
 outstanding lease, nothing more).
 
-Two pieces live here:
+Three pieces live here:
 
 * :func:`generate_leases` — the pure batching function, shared by the
   scheduler's in-process mode and its deterministic makespan model;
+* :func:`guided_lease_size` — how many units the forked dispatcher
+  grants next: up to :data:`DEFAULT_LEASE_SIZE` while much work
+  remains, shrinking toward one at the tail;
 * :class:`LeaseLedger` — the dispatcher's bookkeeping of which lease is
   where, which of its units have reported results, and what a
   revocation must therefore requeue.
@@ -26,7 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-__all__ = ["Lease", "generate_leases", "LeaseLedger"]
+__all__ = ["Lease", "DEFAULT_LEASE_SIZE", "generate_leases",
+           "guided_lease_size", "LeaseLedger"]
+
+#: The largest lease a worker is granted (``--lease-size``).  Every
+#: forked lease costs a grant message, a lease-log append, a shard-journal
+#: ``fsync`` and a ``lease_done`` round trip during which the worker sits
+#: idle, so small leases make two workers slower than one; see "Work
+#: stealing and the lease-size trade-off" in ``docs/PERFORMANCE.md``.
+DEFAULT_LEASE_SIZE = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +74,22 @@ def generate_leases(indices: Sequence[int],
     return [Lease(lease_id, tuple(indices[start:start + lease_size]))
             for lease_id, start in enumerate(
                 range(0, len(indices), lease_size))]
+
+
+def guided_lease_size(pending: int, workers: int, cap: int) -> int:
+    """Units in the next forked grant: guided self-scheduling, capped.
+
+    ``ceil(pending / (2 * workers))`` bounded to ``[1, cap]``
+    (Polychronopoulos & Kuck, IEEE TC 1987).  While much work remains a
+    grant is a full ``cap``, which amortises the fixed per-lease cost;
+    as the queue drains the grants shrink toward one unit, so the last
+    leases still spread over every worker and no worker is left holding
+    a long tail while the others idle:
+
+    >>> [guided_lease_size(n, workers=2, cap=32) for n in (525, 128, 9, 1)]
+    [32, 32, 3, 1]
+    """
+    return max(1, min(cap, -(-pending // (2 * workers))))
 
 
 @dataclass(slots=True)

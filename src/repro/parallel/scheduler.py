@@ -16,9 +16,11 @@ list and runs every unit *shared-nothing*:
   object shape down to the byte.
 
 With one worker (the survey default) the units run in-process, lease by
-lease; with more, the parent forks workers and *dispatches*: it grants
-bounded *leases* (:mod:`repro.parallel.leases`) of the lowest pending
-unit indices to whichever worker is idle; a
+lease; with more, the parent forks workers (never more than there are
+units to grant) and *dispatches*: it grants bounded *leases*
+(:mod:`repro.parallel.leases`) of the lowest pending unit indices to
+whichever worker is idle, full-size while much work remains and
+shrinking toward one unit at the tail; a
 :class:`~repro.parallel.supervisor.Supervisor` watches every worker's
 wall-clock heartbeat and exit status; and a dead or wedged worker
 forfeits exactly its outstanding lease — the lost units are requeued
@@ -94,7 +96,8 @@ from repro.obs import (
     ProgressTracker,
     Tracer,
 )
-from repro.parallel.leases import LeaseLedger, generate_leases
+from repro.parallel.leases import (DEFAULT_LEASE_SIZE, LeaseLedger,
+                                   generate_leases, guided_lease_size)
 from repro.parallel.rng import derive_rng
 from repro.parallel.supervisor import Supervisor, WorkerCrashInjector
 from repro.state.checkpoint import Checkpoint
@@ -314,6 +317,13 @@ def simulate_steal_makespan(latencies: Sequence[float], workers: int,
     converges to on an unloaded machine — the deterministic number the
     benchmark asserts on (CI wall-clock is weather; this is climate).
 
+    The model assumes fixed-size leases that cost nothing to grant, so
+    it never charges a small lease for its dispatch.  The forked dispatcher pays a
+    real per-lease cost (a pipe round trip and a shard-journal
+    ``fsync``) and sizes its grants with
+    :func:`~repro.parallel.leases.guided_lease_size` instead; read this
+    as a measure of balance, not as a wall-clock prediction.
+
     ``kill=(slot, at_time)`` removes one worker at a simulated instant:
     units of its in-flight lease unfinished by then requeue for the
     survivors, exactly like a revoked lease, and no replacement is
@@ -382,7 +392,7 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
                         checkpoint: Checkpoint | None = None,
                         scope: str = "survey",
                         scope_config: dict | None = None,
-                        lease_size: int = 4,
+                        lease_size: int = DEFAULT_LEASE_SIZE,
                         max_worker_restarts: int = 4,
                         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
                         poison_threshold: int = 2,
@@ -396,8 +406,12 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
     (each forked worker constructs its own); ``jitter_seed`` roots the
     per-unit rng derivation and should be the survey's ``fault_seed``.
     ``workers=1`` runs every unit in-process; more fork that many
-    supervised workers.  With a ``checkpoint``, completed units are
-    restored instead of re-crawled and new ones are journaled
+    supervised workers, or one per grantable unit if that is fewer.
+    ``lease_size`` is the largest lease: the in-process path runs
+    leases of exactly that size, and the forked dispatcher grants
+    :func:`~repro.parallel.leases.guided_lease_size` units, which
+    shrinks toward one at the tail.  With a ``checkpoint``, completed
+    units are restored instead of re-crawled and new ones are journaled
     crash-safely (see module docstring).  Returns outcomes per group,
     in target order — byte-identical for every ``workers`` value, with
     checkpoint resume across worker counts.  A worker death or wedge
@@ -416,7 +430,6 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
             f"poison_threshold must be >= 1, got {poison_threshold}")
     if stats is None:
         stats = StealStats()
-    stats.workers = workers
     stats.lease_size = lease_size
     if OBS.diagnostics.enabled:
         stats.supervisor_trace = Tracer()
@@ -506,7 +519,10 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
         or strikes.get(index, 0) >= poison_threshold)
     condemned = set(pre_quarantined)
     grantable = [index for index in pending if index not in condemned]
-    forked = (workers > 1 and len(grantable) > 1
+    # A worker with nothing to lease only costs a fork.
+    workers = min(workers, max(1, len(grantable)))
+    stats.workers = workers
+    forked = (workers > 1
               and "fork" in multiprocessing.get_all_start_methods())
 
     # Only forked workers can die, so only a forked run journals
@@ -717,8 +733,8 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
                     # that unblocks the in-order flush frontier.
                     stats.backpressure_stalls += 1
                     return
-                indices = [heapq.heappop(heap)
-                           for _ in range(min(lease_size, len(heap)))]
+                size = guided_lease_size(len(heap), workers, lease_size)
+                indices = [heapq.heappop(heap) for _ in range(size)]
                 lease = ledger.grant(handle.slot, indices)
                 handle.lease = lease
                 supervisor.note_activity(handle)  # deadline from grant

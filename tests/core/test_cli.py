@@ -89,6 +89,18 @@ class TestParser:
         assert exit_info.value.code == 2
         assert f"argument {option}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["65", "100000"])
+    def test_worker_count_has_a_ceiling(self, workers, capsys):
+        """Checked by the parser alone, so a regression can never fork
+        that many processes inside the test."""
+        assert build_parser().parse_args(
+            ["survey", "--workers", "64"]).workers == 64
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["survey", "--workers", workers])
+        assert exit_info.value.code == 2
+        assert "argument --workers: must be <= 64" in \
+            capsys.readouterr().err
+
 
 class TestCommands:
     def test_table1(self):

@@ -24,6 +24,14 @@ class TestTypeOptions:
         assert options.exclude_types == ContentType.IMAGE
         assert not options.include_types
 
+    def test_masks_stay_content_types(self):
+        """The parser ORs plain ints; what it stores is still typed."""
+        options = parse_options("script,~image,third-party")
+        assert type(options.include_types) is ContentType
+        assert type(options.exclude_types) is ContentType
+        assert type(parse_options("third-party").include_types) \
+            is ContentType
+
     def test_effective_mask_with_includes(self):
         options = parse_options("script")
         assert options.effective_mask() == ContentType.SCRIPT

@@ -14,8 +14,13 @@ import random
 
 import pytest
 
-from repro.measurement.survey import (build_engines, build_samples,
-                                      make_profile_factory)
+from repro.measurement.samples import SampleGroup
+from repro.measurement.survey import (SurveyConfig, build_engines,
+                                      build_samples, make_profile_factory,
+                                      run_survey)
+from repro.parallel import scheduler
+from repro.parallel.leases import (DEFAULT_LEASE_SIZE, LeaseLedger,
+                                   guided_lease_size)
 from repro.state import (Checkpoint, CrashInjector, SimulatedCrash,
                          crashing, lease_log_path, read_lease_strikes)
 from repro.parallel.scheduler import (POISONED_ERROR_CLASS, SchedulerError,
@@ -316,6 +321,71 @@ class TestStrikePersistence:
                      if ours != theirs]
         assert len(differing) == 1
         assert differing[0]["error_class"] == POISONED_ERROR_CLASS
+
+
+@needs_fork
+class TestForkedLeasePlacement:
+    def test_never_forks_more_workers_than_units(self, steal_setup,
+                                                 reference, monkeypatch):
+        groups, factory = steal_setup
+        first = groups[0]
+        three = [SampleGroup(first.name, first.group_index,
+                             first.targets[:3])]
+        supervisors = []
+
+        class RecordingSupervisor(Supervisor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                supervisors.append(self)
+
+        monkeypatch.setattr(scheduler, "Supervisor", RecordingSupervisor)
+        stats = StealStats()
+        surveyed = run_stealing_survey(three, crawler_factory=factory,
+                                       workers=4, jitter_seed=7,
+                                       stats=stats)
+        supervisor, = supervisors
+        assert supervisor.incarnations_spawned == 3
+        assert stats.workers == 3
+        assert _snap(surveyed) == json.dumps(
+            {first.name: json.loads(reference)[first.name][:3]},
+            sort_keys=True)
+
+    def test_default_lease_survey_uses_both_workers(self, history,
+                                                     monkeypatch):
+        """At the default cap a 35-unit configuration still spreads over
+        both workers, in guided grants, and matches one worker's
+        output."""
+        grants = []
+
+        class RecordingLedger(LeaseLedger):
+            def grant(self, worker, indices):
+                lease = super().grant(worker, indices)
+                grants.append((worker, len(lease)))
+                return lease
+
+        def survey(workers):
+            result = run_survey(history, SurveyConfig(
+                top_n=20, stratum_size=5, workers=workers))
+            return result, json.dumps(
+                [{group: [snapshot_outcome(o) for o in outcomes]
+                  for group, outcomes in by_group.items()}
+                 for by_group in (result.outcomes,
+                                  result.outcomes_easylist_only)],
+                sort_keys=True)
+
+        _, serial = survey(1)
+        monkeypatch.setattr(scheduler, "LeaseLedger", RecordingLedger)
+        result, forked = survey(2)
+        assert forked == serial
+        assert {worker for worker, _size in grants} == {0, 1}
+
+        pending = sum(len(group.targets) for group in result.groups)
+        expected = []
+        while pending:
+            expected.append(guided_lease_size(pending, 2,
+                                              DEFAULT_LEASE_SIZE))
+            pending -= expected[-1]
+        assert [size for _worker, size in grants] == expected * 2
 
 
 class TestMakespanModel:
