@@ -114,43 +114,24 @@ def measure_parallel(history) -> dict:
 def _legacy_engine_emulation():
     """Monkeypatch the hot-path optimisations back out; return an undo.
 
-    Restores the code shapes the optimisation passes replaced: every
-    pattern compiles its regex eagerly through the uncached
-    ``compile_pattern``, keyword candidates are re-extracted per
-    ``FilterIndex.add``, every compiled-index probe re-tokenises the
-    URL with the regex tokeniser and yields filter-by-filter through a
-    generator (the pre-compiled-index shape), and the
-    document-privilege memo never retains an entry.
+    Restores three of the code shapes the optimisation passes
+    replaced: every pattern compiles its regex eagerly through the
+    uncached ``compile_pattern``, keyword candidates are re-extracted
+    per ``FilterIndex.add``, and the document-privilege memo never
+    retains an entry.  Request matching itself is not emulated: it runs
+    through ``CompiledFilterIndex.match_all``, as every engine's does.
     """
     from repro.filters import engine as engine_mod
-    from repro.filters import index as index_mod
     from repro.filters import parser as parser_mod
     from repro.filters import pattern as pattern_mod
-    from repro.filters.compiled.index import CompiledFilterIndex
 
     saved = (parser_mod.compile_pattern, parser_mod.keyword_candidates,
-             CompiledFilterIndex.candidates,
              engine_mod.AdblockEngine.document_privileges)
 
     def eager_uncached_compile(source, match_case=False):
         compiled = pattern_mod.compile_pattern.__wrapped__(source, match_case)
         compiled.regex  # force the eager re.compile the old code paid
         return compiled
-
-    def legacy_candidates(self, url):
-        # The pre-compiled probe: regex tokenisation per call, dedup
-        # via a per-probe seen-set, one generator resumption per
-        # candidate filter.
-        seen = set()
-        raw = self._raw
-        for word in index_mod._URL_KEYWORD_RE.findall(url.lower()):
-            if word in seen:
-                continue
-            seen.add(word)
-            bucket = raw.get(word.encode("ascii"))
-            if bucket is not None:
-                yield from bucket
-        yield from self._fallback
 
     privileged = engine_mod.AdblockEngine.document_privileges
 
@@ -160,12 +141,10 @@ def _legacy_engine_emulation():
 
     parser_mod.compile_pattern = eager_uncached_compile
     parser_mod.keyword_candidates = pattern_mod.keyword_candidates.__wrapped__
-    CompiledFilterIndex.candidates = legacy_candidates
     engine_mod.AdblockEngine.document_privileges = uncached_privileges
 
     def undo():
         (parser_mod.compile_pattern, parser_mod.keyword_candidates,
-         CompiledFilterIndex.candidates,
          engine_mod.AdblockEngine.document_privileges) = saved
 
     return undo

@@ -136,8 +136,19 @@ def _port(text: str) -> int:
 _port.__name__ = "int"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Makes ``--option=--`` a usage error: Python 3.11's argparse strips
+    that value and passes an unchecked ``[]`` (``--top=--`` crashed the
+    survey).  Subparsers inherit the class."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=2015)
     common.add_argument("--fast", action="store_true",
                         help="use small demo RSA keys (faster)")
@@ -171,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="flight-recorder ring capacity "
                              "(default 2048)")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="repro",
         description="Reproduction of 'Measuring the Impact and "
                     "Perception of Acceptable Advertisements' (IMC'15)")
@@ -268,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=1_000.0,
                        help="default per-request budget when the "
                             "client sends no X-Repro-Deadline-Ms")
-    serve.add_argument("--drain-timeout", type=float, default=10.0,
-                       metavar="SECONDS",
+    serve.add_argument("--drain-timeout", type=_non_negative_float,
+                       default=10.0, metavar="SECONDS",
                        help="how long SIGTERM waits for in-flight "
                             "requests before exiting anyway")
     serve.add_argument("--snapshot-dir", metavar="DIR", default=None,

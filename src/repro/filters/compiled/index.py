@@ -1,19 +1,18 @@
 """The compiled, frozen form of :class:`~repro.filters.index.FilterIndex`.
 
 ``FilterIndex`` is the mutable build-time structure: it chooses keywords
-as filters arrive and grows dict buckets.  Once an engine freezes
-(:meth:`repro.filters.engine.AdblockEngine.freeze`), the index is
-compiled into this read-only form, which fixes the PR-4 hot path's two
-remaining costs:
+as filters arrive and grows dict buckets.  When an engine freezes
+(:meth:`repro.filters.engine.AdblockEngine.freeze`, on its first
+consultation at the latest), the index is compiled into this read-only
+form, which every engine matches through.  It removes the two costs of
+the reference probe (:meth:`FilterIndex.candidates`):
 
-* **per-probe tokenisation** — the legacy path ran a regex over every
-  URL (memoised in an 8192-entry ``lru_cache`` that forked workers had
-  to re-warm and that thrashes once the survey's working set exceeds
-  it).  The compiled probe is a single pass over the URL bytes with
-  C-level primitives: one 256-byte ``translate`` (lowercase + collapse
-  separators), one ``split``, one ``set.intersection`` against the
-  keyword set.  No cache, nothing to warm after ``fork``.
-* **per-candidate generator machinery** — ``candidates()`` was a
+* **per-probe tokenisation** — the reference probe runs a regex over
+  every URL.  The compiled probe is a single pass over the URL bytes
+  with C-level primitives: one 256-byte ``translate`` (lowercase +
+  collapse separators), one ``split``, one ``set.intersection`` against
+  the keyword set.  No cache, nothing to warm after ``fork``.
+* **per-candidate generator machinery** — the reference probe is a
   generator resuming once per yielded filter, which dominates when the
   fallback bucket is large (the synthetic EasyList routes ~25% of its
   filters there).  The compiled index returns tuples: the zero-hit
@@ -21,18 +20,18 @@ remaining costs:
   bucket's ``bucket + fallback`` tuple, built on the first probe that
   needs it and kept (``_single``; matching never reads it).
 
-The candidate *sequence* is byte-identical to the legacy index's:
+The candidate *sequence* is byte-identical to the reference probe's:
 distinct URL tokens in first-occurrence order select buckets (bucket
 contents in insertion order), then the fallback bucket, always, last —
 the never-filter-out-a-match guarantee is untouched.  The
 differential-fuzz suite (``tests/filters/test_compiled_fuzz.py``) holds
-this equivalence against the legacy ``FilterIndex``, which stays as the
-oracle.
+that sequence equal, and ``match_all`` equal to the reference
+sequence's matching filters, in order.
 
-Matching (:meth:`CompiledFilterIndex.match_all` / ``match_first``) does
-not evaluate that whole sequence.  Compilation also splits the fallback
-bucket by :class:`~repro.filters.options.ContentType` member: each
-member's **typed fallback** holds only the fallback filters whose
+Matching (:meth:`CompiledFilterIndex.match_all`) does not evaluate that
+whole sequence.  Compilation also splits the fallback bucket by
+:class:`~repro.filters.options.ContentType` member: each member's
+**typed fallback** holds only the fallback filters whose
 effective mask includes it, in insertion order.  A request reads its
 hit buckets whole and then its type's fallback, so a script request
 never evaluates the hundreds of ``$image``-only fallback filters; the
@@ -72,16 +71,16 @@ the only writes are those two fills (``_runs``, ``_single``), each one
 dict store of a value computed from immutable data, so two threads
 racing on one key at worst build equal values twice.
 
-Non-ASCII URLs take a conservative detour through the legacy string
+Non-ASCII URLs take a conservative detour through the reference string
 tokeniser: ``str.lower()`` can fold non-ASCII code points *into* ASCII
 (``'K'.lower() == 'k'``), so byte-level lowercasing of such URLs
 could miss a bucket and break the completeness guarantee.
 
 >>> from repro.filters.index import FilterIndex
 >>> from repro.filters.parser import parse_filter
->>> legacy = FilterIndex([parse_filter("||adzerk.net^"),
-...                       parse_filter("/banner[0-9]+/")])
->>> compiled = CompiledFilterIndex.compile(legacy)
+>>> built = FilterIndex([parse_filter("||adzerk.net^"),
+...                      parse_filter("/banner[0-9]+/")])
+>>> compiled = CompiledFilterIndex.compile(built)
 >>> [f.text for f in compiled.candidates("http://adzerk.net/x")]
 ['||adzerk.net^', '/banner[0-9]+/']
 >>> [f.text for f in compiled.candidates("http://example.com/page")]
@@ -198,9 +197,8 @@ class CompiledFilterIndex:
 
     Construction goes through :meth:`compile` (from a built
     ``FilterIndex``) or :meth:`from_parts` (the artifact-load path).
-    The probe surface mirrors ``FilterIndex`` — ``candidates``,
-    ``match_first``, ``match_all``, iteration, ``len`` — so engines and
-    sessions use either interchangeably; ``candidates`` returns a
+    Engines and sessions match through :meth:`match_all`;
+    :meth:`candidates` returns the reference probe's sequence as a
     reusable sequence rather than a one-shot generator.
     """
 
@@ -454,22 +452,6 @@ class CompiledFilterIndex:
             OBS.registry.counter("filters.index.candidates_evaluated").inc(
                 len(evaluated))
         return evaluated
-
-    def match_first(
-        self,
-        url: str,
-        content_type: ContentType,
-        page_host: str,
-        request_host: str,
-        *,
-        sitekey: str | None = None,
-    ) -> RequestFilter | None:
-        """First matching filter, or ``None``."""
-        for flt in self._evaluated(url, content_type):
-            if flt.matches(url, content_type, page_host, request_host,
-                           sitekey=sitekey):
-                return flt
-        return None
 
     def match_all(
         self,

@@ -24,7 +24,7 @@ paper calls out explicitly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.filters.filterlist import FilterList
@@ -196,7 +196,8 @@ class EngineSnapshot:
     """The frozen, shareable compiled form of an engine's subscriptions.
 
     A snapshot owns everything that is expensive to build and safe to
-    share: the keyword-bucketed request-filter indices, the element
+    share: the compiled request-filter indexes (every engine matches
+    through them, sessions and self-frozen engines alike), the element
     filter lists, the filter→list-name map, the subscription epoch, and
     the long-lived page-privilege memo.  It is immutable by contract —
     no method on it (or on any session over it) adds or removes filters
@@ -277,19 +278,9 @@ class EngineSnapshot:
         return sum(len(fl) for fl in self.lists)
 
     def compiled_stats(self) -> dict[str, dict[str, int]]:
-        """Per-index size figures (reported by ``/healthz``).
-
-        Empty when the snapshot's indexes are not compiled (only
-        possible for hand-assembled snapshots; :meth:`build` and
-        :meth:`AdblockEngine.freeze` always compile).
-        """
-        stats: dict[str, dict[str, int]] = {}
-        for name in ("blocking", "exceptions"):
-            index = getattr(self, name)
-            stats_fn = getattr(index, "stats", None)
-            if callable(stats_fn):
-                stats[name] = stats_fn()
-        return stats
+        """Per-index size figures (reported by ``/healthz``)."""
+        return {"blocking": self.blocking.stats(),
+                "exceptions": self.exceptions.stats()}
 
     def session(self, record: bool = False) -> "AdblockEngine":
         """A thin mutable consultation layer over this snapshot."""
@@ -309,16 +300,26 @@ class AdblockEngine:
     element filters; the engine resolves interactions between them.
 
     The engine is split into two layers.  The *compiled* layer —
-    indices, element filters, list map, epoch, privilege memo — can be
-    frozen into an :class:`EngineSnapshot` with :meth:`freeze` and
-    shared between sessions; ``AdblockEngine(snapshot=snap)`` (or
-    ``snap.session()``) builds a new session over an existing snapshot
-    without recompiling anything.  The *session* layer is what remains
-    mutable: the ``recording`` flag and the activation log.  A frozen
-    engine (and every snapshot session) rejects :meth:`subscribe` with
-    :class:`FrozenEngineError` — subscription changes require building
-    a fresh snapshot, which is exactly the atomic-swap discipline the
-    serving daemon's hot-reload relies on.
+    indices, element filters, list map, epoch, privilege memo — is
+    frozen into an :class:`EngineSnapshot` by :meth:`freeze`, or by the
+    engine's first consultation, and shared between sessions;
+    ``AdblockEngine(snapshot=snap)`` (or ``snap.session()``) builds a
+    new session over an existing snapshot without recompiling anything.
+    The *session* layer is what remains mutable: the ``recording`` flag
+    and the activation log.  A frozen engine (and every snapshot
+    session) rejects :meth:`subscribe` with :class:`FrozenEngineError`
+    — subscribe every list before the first consultation; subscription
+    changes require building a fresh snapshot, which is exactly the
+    atomic-swap discipline the serving daemon's hot-reload relies on.
+
+    >>> from repro.filters.filterlist import parse_filter_list
+    >>> engine = AdblockEngine()
+    >>> engine.subscribe(parse_filter_list("||ads.example^", name="demo"))
+    >>> engine.check_request("http://ads.example/x", ContentType.SCRIPT,
+    ...                      "example.com", "ads.example").blocked
+    True
+    >>> engine.frozen
+    True
     """
 
     #: Upper bound on memoised page-privilege entries; the cache is
@@ -332,38 +333,35 @@ class AdblockEngine:
     def __init__(self, record: bool = False, *,
                  snapshot: EngineSnapshot | None = None) -> None:
         if snapshot is None:
+            # The build structures, until freeze() compiles them.
             self._blocking = FilterIndex()
             self._exceptions = FilterIndex()
             self._element_hide: list[tuple[str, ElementFilter]] = []
-            # Frozen engines and sessions share the snapshot's index;
-            # until then hidden_elements indexes the list per call.
-            self._element_index: ElementHideIndex | None = None
             self._element_exceptions: list[tuple[str, ElementFilter]] = []
             self._list_of_filter: dict[int, str] = {}
             self._lists: list[FilterList] = []
-            # Memoised document_privileges match results, keyed by
-            # (subscription epoch, page_url, page_host, sitekey).  The
-            # epoch advances on every filter added, so stale entries can
-            # never be served after a subscription change.
+            # Advances on every filter added; the snapshot keys its
+            # privilege memo on it.
             self._subscription_epoch = 0
-            self._privilege_cache: dict[
-                tuple, tuple[bool, bool, tuple[RequestFilter, ...]]] = {}
             self._snapshot: EngineSnapshot | None = None
         else:
-            # A session: alias the snapshot's compiled structures (no
-            # copies — that is the point) and share its privilege memo.
-            self._blocking = snapshot.blocking
-            self._exceptions = snapshot.exceptions
-            self._element_hide = snapshot.element_hide
-            self._element_index = snapshot.element_index
-            self._element_exceptions = snapshot.element_exceptions
-            self._list_of_filter = snapshot._list_of_filter
-            self._lists = list(snapshot.lists)
-            self._subscription_epoch = snapshot.epoch
-            self._privilege_cache = snapshot._privilege_cache
-            self._snapshot = snapshot
+            self._adopt(snapshot)
         self.recording = record
         self.activations: list[Activation] = []
+
+    def _adopt(self, snapshot: EngineSnapshot) -> None:
+        """Alias ``snapshot``'s compiled structures (no copies — that is
+        the point) and share its privilege memo."""
+        self._blocking = snapshot.blocking
+        self._exceptions = snapshot.exceptions
+        self._element_hide = snapshot.element_hide
+        self._element_index = snapshot.element_index
+        self._element_exceptions = snapshot.element_exceptions
+        self._list_of_filter = snapshot._list_of_filter
+        self._lists = list(snapshot.lists)
+        self._subscription_epoch = snapshot.epoch
+        self._privilege_cache = snapshot._privilege_cache
+        self._snapshot = snapshot
 
     # -- subscription management -------------------------------------
 
@@ -376,43 +374,34 @@ class AdblockEngine:
         """Seal the compiled layer and return it as a shareable snapshot.
 
         Freezing is idempotent — repeated calls return the same
-        snapshot.  After freezing, :meth:`subscribe` raises
-        :class:`FrozenEngineError`; the engine itself keeps working as
-        a session over its own snapshot.
+        snapshot — and happens by itself on the engine's first
+        consultation (:meth:`document_privileges`,
+        :meth:`check_request`, :meth:`hidden_elements` or
+        :meth:`should_send_dnt`).  After freezing, :meth:`subscribe`
+        raises :class:`FrozenEngineError`; the engine itself keeps
+        working as a session over its own snapshot.
 
-        Freezing is also where the keyword indexes are *compiled*: the
+        Freezing is where the keyword indexes are *compiled*: the
         mutable :class:`FilterIndex` pair becomes a pair of read-only
         :class:`~repro.filters.compiled.index.CompiledFilterIndex`
-        (keyword set + bucket tuples), and the
-        engine rebinds to them so its own probes take the compiled hot
-        path too.  Candidate ordering is preserved byte-for-byte.
+        (keyword set + bucket tuples), the only form any engine matches
+        through.  Candidate ordering is preserved byte-for-byte.
         """
         if self._snapshot is None:
             # Imported here, not at module level: the compiled package's
             # artifact module imports EngineSnapshot from this module.
             from repro.filters.compiled.index import CompiledFilterIndex
-            if isinstance(self._blocking, FilterIndex):
-                self._blocking = CompiledFilterIndex.compile(
-                    self._blocking, name="blocking")
-            if isinstance(self._exceptions, FilterIndex):
-                self._exceptions = CompiledFilterIndex.compile(
-                    self._exceptions, name="exceptions")
-            self._snapshot = EngineSnapshot(
-                blocking=self._blocking,
-                exceptions=self._exceptions,
+            self._adopt(EngineSnapshot(
+                blocking=CompiledFilterIndex.compile(
+                    self._blocking, name="blocking"),
+                exceptions=CompiledFilterIndex.compile(
+                    self._exceptions, name="exceptions"),
                 element_hide=self._element_hide,
                 element_exceptions=self._element_exceptions,
                 lists=tuple(self._lists),
                 list_of_filter=self._list_of_filter,
                 epoch=self._subscription_epoch,
-            )
-            self._element_index = self._snapshot.element_index
-            # Adopt the snapshot's memo so the engine and its sessions
-            # share one long-lived cache (the engine's own memo was
-            # keyed on the same epoch, but starts empty post-freeze to
-            # keep ownership in one place).
-            self._snapshot._privilege_cache.update(self._privilege_cache)
-            self._privilege_cache = self._snapshot._privilege_cache
+            ))
         return self._snapshot
 
     def subscribe(self, filter_list: FilterList) -> None:
@@ -429,8 +418,6 @@ class AdblockEngine:
     def _add_filter(self, flt: RequestFilter | ElementFilter,
                     list_name: str) -> None:
         self._subscription_epoch += 1
-        if self._privilege_cache:
-            self._privilege_cache.clear()
         self._list_of_filter[id(flt)] = list_name
         if isinstance(flt, RequestFilter):
             if flt.is_exception:
@@ -475,13 +462,15 @@ class AdblockEngine:
         server presented, if any; sitekey exception filters only activate
         when it matches one of their keys.
 
-        The two exception-index scans are memoised per
+        The two exception-index scans are memoised in the snapshot per
         ``(subscription epoch, page_url, page_host, sitekey)`` — the
         crawler re-derives the same page's privileges for every request
         on it, and the answer cannot change unless the subscriptions
         do.  Activations are *not* cached: every call records the
         granted filters exactly as an uncached scan would.
         """
+        if self._snapshot is None:
+            self.freeze()
         cache_key = (self._subscription_epoch, page_url, page_host, sitekey)
         cached = self._privilege_cache.get(cache_key)
         if cached is None:
@@ -551,6 +540,8 @@ class AdblockEngine:
         sitekey: str | None = None,
     ) -> RequestDecision:
         """Decide one request; records all activations when instrumented."""
+        if self._snapshot is None:
+            self.freeze()
         if privileges is not None and privileges.allow_all:
             if OBS.enabled:
                 OBS.registry.counter("filters.engine.verdicts",
@@ -624,10 +615,12 @@ class AdblockEngine:
         the domain and matches it, and no element exception (with a
         selector that also matches it) applies on the domain.
         """
+        if self._snapshot is None:
+            self.freeze()
         if privileges is not None and (
                 privileges.allow_all or privileges.disable_elemhide):
             return []
-        index = self._element_index or ElementHideIndex(self._element_hide)
+        index = self._element_index
         applies: dict[int, bool] = {}
         hidden: list["Element"] = []
         active_exceptions = [
@@ -716,15 +709,10 @@ class AdblockEngine:
         to send ``DNT: 1``, "as long as there is no matching exception
         rule with a donottrack option on the same page."
         """
-        requested = any(
-            flt.options.donottrack
-            and flt.matches(url, content_type, page_host, request_host)
-            for flt in self._blocking
-        )
-        if not requested:
-            return False
-        return not any(
-            flt.options.donottrack
-            and flt.matches(url, content_type, page_host, request_host)
-            for flt in self._exceptions
-        )
+        if self._snapshot is None:
+            self.freeze()
+        call = (url, content_type, page_host, request_host)
+        return (any(flt.options.donottrack
+                    for flt in self._blocking.match_all(*call))
+                and not any(flt.options.donottrack
+                            for flt in self._exceptions.match_all(*call)))

@@ -1,4 +1,4 @@
-"""Keyword-indexed request-filter store — the engine's fast path.
+"""Keyword-indexed request-filter store — the index's build structure.
 
 Real Adblock Plus does not test every filter against every request; it
 buckets filters by a *keyword* (a literal substring every matching URL
@@ -7,6 +7,15 @@ occurs in the URL.  We reproduce that design: it keeps the Section 5
 survey tractable at any scale (tens of thousands of filters x dozens of
 requests per page) and it is itself benchmarked against the naive
 linear scan (``benchmarks/bench_ablation_engine.py``).
+
+``FilterIndex`` chooses keywords as filters arrive.  No engine matches
+through it: an engine compiles it into the read-only
+:class:`~repro.filters.compiled.index.CompiledFilterIndex` when it
+freezes, on its first consultation at the latest, and every match runs
+there.  What stays here is the build structure (:meth:`FilterIndex.add`,
+iteration, ``len``) and :meth:`FilterIndex.candidates`, the plain
+reference probe the differential fuzz and the compiled-index benchmark
+hold the compiled index equal to.
 
 Two semantics downstream code relies on, documented precisely because
 the engine's correctness depends on them:
@@ -36,17 +45,10 @@ smallest, breaking ties toward the *longest* keyword (rarer in URLs, so
 probed less often).  Insertion order therefore shapes the buckets —
 see the method docstring for the exact tie-breaking doctest.
 
-``FilterIndex`` is the *build-time* structure; freezing an engine
-compiles it into the read-only
-:class:`~repro.filters.compiled.index.CompiledFilterIndex` (keyword
-set, bucket tuples), which preserves both
-semantics above byte-for-byte — the differential-fuzz suite holds the
-two implementations equal.
-
-When observability is enabled (:mod:`repro.obs`), every probe records
-bucket hit/miss counts and fallback scan sizes under
-``filters.index.*``; with the default null registry the only cost is
-one flag check per probe.
+The compiled index preserves both semantics byte-for-byte.  Adding a
+filter counts it under ``filters.index.filters`` when observability is
+enabled (:mod:`repro.obs`); the probe counters are the compiled
+index's.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ import re
 from collections import defaultdict
 from typing import Iterable, Iterator
 
-from repro.filters.options import ContentType
 from repro.filters.parser import RequestFilter
 from repro.filters.pattern import ASCII_FOLD
 from repro.obs import OBS
@@ -68,15 +69,11 @@ _URL_KEYWORD_RE = re.compile(r"[a-z0-9%]{3,}")
 def _url_tokens(url: str) -> tuple[str, ...]:
     """The URL's distinct keyword tokens, first-occurrence order.
 
-    One probe tokenises the URL exactly once; the dedup that
-    :meth:`FilterIndex.candidates` used to do per probe with a seen-set
-    is folded into the token tuple itself.  This used to be an
-    ``lru_cache``-backed process cache; the cache (and its per-worker
-    re-warming after ``fork``) is gone now that frozen engines probe
-    through :class:`~repro.filters.compiled.index.CompiledFilterIndex`,
-    which tokenises with C-level byte primitives and needs no memo.
-    The uncached path here serves the mutable build-time index (tests,
-    unfrozen engines) and the compiled index's non-ASCII detour.
+    One probe tokenises the URL exactly once; the dedup is folded into
+    the token tuple itself.  It serves the reference probe
+    (:meth:`FilterIndex.candidates`) and the compiled index's non-ASCII
+    detour; the compiled index tokenises ASCII URLs with C-level byte
+    primitives.
 
     The URL is folded with :data:`~repro.filters.pattern.ASCII_FOLD`
     before lowercasing, as keywords are: a URL the pattern's
@@ -160,87 +157,18 @@ class FilterIndex:
         Every filter that *matches* the URL is guaranteed to be yielded
         (keyword extraction only picks substrings required by the
         pattern); non-matching filters may be yielded too — callers must
-        still run the full match.  The fallback bucket is yielded last,
-        unconditionally (see the module docstring).
-        """
-        if not OBS.enabled:
-            # The bare fast path of the *mutable* index (frozen engines
-            # probe the compiled index instead).  Keyword extraction
-            # only emits separator-delimited tokens, so every matching
-            # filter's keyword appears as a full token of the URL;
-            # probing each distinct token covers all candidate buckets.
-            by_keyword = self._by_keyword
-            for word in _url_tokens(url):
-                bucket = by_keyword.get(word)
-                if bucket is not None:
-                    yield from bucket
-            yield from self._fallback
-            return
-        yield from self._instrumented_candidates(url)
+        still run the full match.  Keyword extraction only emits
+        separator-delimited tokens, so every matching filter's keyword
+        appears as a full token of the URL; probing each distinct token
+        covers all candidate buckets.  The fallback bucket is yielded
+        last, unconditionally (see the module docstring).
 
-    def _instrumented_candidates(self, url: str) -> Iterator[RequestFilter]:
-        """:meth:`candidates` with ``filters.index.*`` accounting.
-
-        Counts are recorded eagerly (before any bucket is yielded), so a
-        caller that stops at the first match still leaves an accurate
-        probe record behind.  Tokenisation goes through the same
-        :func:`_url_tokens` as the fast path — enabled and disabled
-        observability probe *identical* bucket sequences — so
-        ``bucket_hits`` and ``bucket_misses`` both count **distinct**
-        URL tokens (hits: present in the index; misses: absent).
+        This is the reference probe the compiled index is held equal to;
+        engines never match through it.
         """
-        reg = OBS.registry
-        hits = 0
-        misses = 0
-        probe_order: list[str] = []
+        by_keyword = self._by_keyword
         for word in _url_tokens(url):
-            if word in self._by_keyword:
-                probe_order.append(word)
-                hits += 1
-            else:
-                misses += 1
-        reg.counter("filters.index.probes").inc()
-        reg.counter("filters.index.bucket_hits").inc(hits)
-        reg.counter("filters.index.bucket_misses").inc(misses)
-        reg.counter("filters.index.candidates_yielded").inc(
-            sum(len(self._by_keyword[w]) for w in probe_order)
-            + len(self._fallback))
-        if self._fallback:
-            reg.counter("filters.index.fallback_scanned").inc(
-                len(self._fallback))
-        for word in probe_order:
-            yield from self._by_keyword[word]
+            bucket = by_keyword.get(word)
+            if bucket is not None:
+                yield from bucket
         yield from self._fallback
-
-    def match_first(
-        self,
-        url: str,
-        content_type: ContentType,
-        page_host: str,
-        request_host: str,
-        *,
-        sitekey: str | None = None,
-    ) -> RequestFilter | None:
-        """First matching filter, or ``None``."""
-        for flt in self.candidates(url):
-            if flt.matches(url, content_type, page_host, request_host,
-                           sitekey=sitekey):
-                return flt
-        return None
-
-    def match_all(
-        self,
-        url: str,
-        content_type: ContentType,
-        page_host: str,
-        request_host: str,
-        *,
-        sitekey: str | None = None,
-    ) -> list[RequestFilter]:
-        """Every matching filter (the survey records all activations)."""
-        return [
-            flt
-            for flt in self.candidates(url)
-            if flt.matches(url, content_type, page_host, request_host,
-                           sitekey=sitekey)
-        ]

@@ -157,10 +157,8 @@ def build_engines(history: "WhitelistHistory",
     engine.subscribe(easylist)
     if with_whitelist:
         engine.subscribe(whitelist)
-    # Freeze immediately: the survey never re-subscribes, and freezing
-    # compiles the keyword indexes (keyword set + prebuilt bucket
-    # tuples) so every probe — serial or forked worker — takes the
-    # compiled hot path.
+    # Freeze now rather than on the first consultation: forked workers
+    # then inherit one compiled index instead of each compiling its own.
     engine.freeze()
     return engine, easylist, whitelist
 

@@ -81,6 +81,8 @@ class TestParser:
         (["blockable", "example.com:99999"], "domain"),
         (["blockable", "http://x"], "domain"),
         (["blockable", ""], "domain"),
+        (["survey", "--top=--"], "--top"),
+        (["exploit", "--seed=--"], "--seed"),
     ])
     def test_out_of_range_values_are_usage_errors(self, argv, option,
                                                   capsys):
@@ -100,6 +102,20 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "argument --workers: must be <= 64" in \
             capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "x"])
+    def test_drain_timeout_rejects_nan_and_negatives(self, value, capsys):
+        """Parser only, so no daemon binds a port.  A ``nan`` timeout
+        made a SIGTERM drain with requests in flight spin unbounded."""
+        parser = build_parser()
+        for accepted, want in (("0", 0.0), ("inf", float("inf"))):
+            assert parser.parse_args(
+                ["serve", "--drain-timeout", accepted]).drain_timeout == want
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["serve", "--drain-timeout", value])
+        assert exit_info.value.code == 2
+        assert "argument --drain-timeout:" in capsys.readouterr().err
 
 
 class TestCommands:

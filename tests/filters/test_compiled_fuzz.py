@@ -1,19 +1,20 @@
-"""Seeded differential fuzz: compiled index vs legacy, 10k+ pairs.
+"""Seeded differential fuzz: compiled index vs reference probe, 10k+ pairs.
 
-Every (filter list, URL) pair asserts the three contracts the compiled
-index must keep:
+Every (filter list, URL) pair asserts the contracts the compiled index
+must keep:
 
 * **completeness** — the compiled candidate set is a superset of the
   filters that actually match (never-filter-out-a-match);
 * **byte-identical ordering** — the compiled candidate *sequence*
-  equals the legacy index's, element for element;
-* **verdict parity** — ``match_first`` returns the identical filter
-  object and ``match_all`` the identical list, for a content type drawn
-  from every ``ContentType`` member (privilege and deprecated types
-  included) plus flag combinations, so the compiled index's typed
-  fallbacks and its whole fallback are both exercised; every pair also
-  checks ``match_first`` under ``IMAGE`` and ``match_all`` under
-  ``SCRIPT``;
+  equals the reference probe's (``FilterIndex.candidates``), element
+  for element;
+* **order oracle** — ``match_all`` returns the identical filter objects,
+  in the identical order, as the matching filters of the reference
+  sequence, for a content type drawn from every ``ContentType`` member
+  (privilege and deprecated types included) plus flag combinations, so
+  the compiled index's typed fallbacks and its whole fallback are both
+  exercised; every pair also checks ``IMAGE`` and ``SCRIPT``.  That
+  order is every engine's activation order;
 * **linear-scan oracle** — the set ``match_all`` returns equals the set
   of all the list's filters whose ``matches()`` is true, so a required
   token the compiled index skips on must really be required.
@@ -256,21 +257,17 @@ class TestDifferentialFuzz:
                     mismatches.append(("linear-scan", url, content_type,
                                        [f.text for f in matching],
                                        [f.text for f in found]))
-                # The drawn type under both methods, plus the two types
-                # whose typed fallbacks differ most on every pair.
-                for method, ctype in (("match_first", content_type),
-                                      ("match_all", content_type),
-                                      ("match_first", ContentType.IMAGE),
-                                      ("match_all", ContentType.SCRIPT)):
+                # The drawn type, plus the two types whose typed
+                # fallbacks differ most on every pair.
+                for ctype in (content_type, ContentType.IMAGE,
+                              ContentType.SCRIPT):
                     call = (url, ctype, "page.example", host)
-                    want = getattr(legacy, method)(*call)
-                    got = getattr(compiled, method)(*call)
-                    if method == "match_first":
-                        want, got = [want], [got]
+                    want = [f for f in legacy_seq if f.matches(*call)]
+                    got = compiled.match_all(*call)
                     if (len(want) != len(got)
                             or not all(a is b for a, b in zip(want, got))):
-                        mismatches.append((method, url, ctype,
-                                           [f and f.text for f in got]))
+                        mismatches.append(("order", url, ctype,
+                                           [f.text for f in got]))
         return pairs, mismatches
 
     def test_compiled_equals_legacy_on_10k_pairs(self):

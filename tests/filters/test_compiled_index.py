@@ -43,6 +43,11 @@ def build_pair(texts=FILTERS):
     return legacy, CompiledFilterIndex.compile(legacy)
 
 
+def reference_matches(legacy, url, *call):
+    """The matching filters of the reference probe's sequence."""
+    return [f for f in legacy.candidates(url) if f.matches(url, *call)]
+
+
 class TestTokenTable:
     def test_token_table_lowercases_and_collapses(self):
         raw = b"HTTP://Ads.Example/x?y=1%2F"
@@ -57,19 +62,16 @@ class TestCompiledIndexParity:
             assert ([f.text for f in compiled.candidates(url)]
                     == [f.text for f in legacy.candidates(url)]), url
 
-    def test_match_first_and_match_all_identical(self):
+    def test_match_all_equals_reference_scan(self):
         legacy, compiled = build_pair()
         for url in URLS:
             host = url.split("/")[2] if "//" in url else "h.example"
             for content_type in (ContentType.IMAGE, ContentType.SCRIPT):
-                assert (compiled.match_first(url, content_type,
-                                             "page.com", host)
-                        is legacy.match_first(url, content_type,
-                                              "page.com", host))
-                assert (compiled.match_all(url, content_type,
-                                           "page.com", host)
-                        == legacy.match_all(url, content_type,
-                                            "page.com", host))
+                call = (url, content_type, "page.com", host)
+                got = compiled.match_all(*call)
+                want = reference_matches(legacy, *call)
+                assert len(got) == len(want), url
+                assert all(a is b for a, b in zip(got, want)), url
 
     def test_instrumented_path_identical_to_fast_path(self):
         _, compiled = build_pair()
@@ -153,11 +155,11 @@ class TestCaseFoldedUrls:
 
     def test_host_with_long_s_matches_in_both_indexes(self):
         legacy, compiled = build_pair(["||stats.com^"])
-        url = "http://ſtats.com/x.js"
-        for index in (legacy, compiled):
-            assert [f.text for f in index.match_all(
-                url, ContentType.SCRIPT, "page.com", "ſtats.com")] \
-                == ["||stats.com^"]
+        call = ("http://ſtats.com/x.js", ContentType.SCRIPT, "page.com",
+                "ſtats.com")
+        for found in (reference_matches(legacy, *call),
+                      compiled.match_all(*call)):
+            assert [f.text for f in found] == ["||stats.com^"]
 
     def test_snapshot_builds_patterns_with_folded_keywords(self):
         from repro.filters.engine import EngineSnapshot
@@ -174,9 +176,9 @@ class TestCaseFoldedUrls:
         legacy, compiled = build_pair(["||google.com/ads/search.js"])
         url = "http://google.com/ads/ſearch.js"
         assert "search" in _url_tokens(url)
-        for index in (legacy, compiled):
-            assert len(index.match_all(url, ContentType.SCRIPT, "page.com",
-                                       "google.com")) == 1
+        call = (url, ContentType.SCRIPT, "page.com", "google.com")
+        assert len(reference_matches(legacy, *call)) == 1
+        assert len(compiled.match_all(*call)) == 1
 
 
 class TestLazyFillsUnderThreads:

@@ -9,8 +9,9 @@ first match wins.  For random lists (simple, compound, descendant and
 child selectors; comma lists mixing keyed and unkeyed members; domain
 include and exclude lists; element exceptions) over random DOM trees
 (several and repeated classes per element), the hidden list and the
-full activation sequence must equal the oracle's, on a frozen engine
-and on an unfrozen one.
+full activation sequence must equal the oracle's, on an engine frozen
+by ``freeze()`` and on one that freezes itself on its first
+``hidden_elements`` call.
 
 Everything is derived from one fixed seed, so a failure reproduces
 exactly.
@@ -18,8 +19,11 @@ exactly.
 
 import random
 
-from repro.filters.engine import Activation, AdblockEngine
+import pytest
+
+from repro.filters.engine import Activation, AdblockEngine, FrozenEngineError
 from repro.filters.filterlist import parse_filter_list
+from repro.filters.options import ContentType
 from repro.filters.parser import ElementFilter
 from repro.web.dom import Element
 
@@ -173,16 +177,16 @@ def test_keyed_hiding_equals_linear_scan():
     for _ in range(TRIALS):
         lists = _random_lists(rng)
         frozen = AdblockEngine(record=True)
-        unfrozen = AdblockEngine(record=True)
+        self_frozen = AdblockEngine(record=True)
         for filter_list in lists:
             frozen.subscribe(filter_list)
-            unfrozen.subscribe(filter_list)
+            self_frozen.subscribe(filter_list)
         frozen.freeze()
         elements = list(_random_tree(rng).iter())
         for page_host in rng.sample(PAGE_HOSTS, 3):
             expected_hidden, expected_acts = _oracle(
                 lists, elements, page_host)
-            for engine in (frozen, unfrozen):
+            for engine in (frozen, self_frozen):
                 hidden, acts = _engine_result(engine, elements, page_host)
                 assert [id(e) for e in hidden] == \
                     [id(e) for e in expected_hidden]
@@ -192,10 +196,22 @@ def test_keyed_hiding_equals_linear_scan():
     assert hidden_total > TRIALS
 
 
-def test_unfrozen_engine_reindexes_after_subscribe():
+@pytest.mark.parametrize("consult", ["check_request", "hidden_elements"])
+def test_first_consultation_freezes_the_engine(consult):
     engine = AdblockEngine(record=True)
-    engine.subscribe(parse_filter_list("##.late", name="first"))
+    engine.subscribe(parse_filter_list("||ads.example^\n##.ad",
+                                       name="first"))
+    assert not engine.frozen
     element = Element(tag="div", attributes={"class": "ad"})
-    assert engine.hidden_elements([element], "example.com") == []
-    engine.subscribe(parse_filter_list("##.ad", name="second"))
-    assert engine.hidden_elements([element], "example.com") == [element]
+    if consult == "check_request":
+        assert engine.check_request("http://ads.example/x.js",
+                                    ContentType.SCRIPT, "example.com",
+                                    "ads.example").blocked
+    else:
+        assert engine.hidden_elements([element], "example.com") == [element]
+    assert engine.frozen
+    with pytest.raises(FrozenEngineError):
+        engine.subscribe(parse_filter_list("##.late", name="second"))
+    # The refused list changed nothing.
+    late = Element(tag="div", attributes={"class": "late"})
+    assert engine.hidden_elements([late], "example.com") == []

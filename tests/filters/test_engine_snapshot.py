@@ -83,6 +83,44 @@ class TestSessions:
             assert check(session, host).verdict is \
                 check(engine, host).verdict
 
+    def test_exploit_engine_answers_like_a_snapshot(self, monkeypatch):
+        """``repro exploit`` consults an engine it never froze: the
+        first consultation freezes it, and every answer equals a
+        snapshot session's over the same lists."""
+        import io
+
+        from repro.cli import main
+        from repro.sitekey import factoring
+        from repro.web.url import parse_url
+
+        real_demo = factoring.run_bypass_demo
+        seen = []
+
+        def recording_demo(engine, factored, **kwargs):
+            assert not engine.frozen
+            demo = real_demo(engine, factored, **kwargs)
+            seen.append((engine, factored, demo))
+            return demo
+
+        monkeypatch.setattr(factoring, "run_bypass_demo", recording_demo)
+        assert main(["exploit", "--bits", "24", "--seed", "3"],
+                    out=io.StringIO()) == 0
+        [(engine, factored, demo)] = seen
+        assert engine.frozen
+        snapshot = EngineSnapshot.build(engine.subscriptions)
+        assert real_demo(snapshot.session(), factored) == demo
+        host = "adversarial-test-site.com"
+        for sitekey in (None, demo.sitekey_b64):
+            session = snapshot.session()
+            assert (engine.document_privileges(f"http://{host}/", host,
+                                               sitekey=sitekey)
+                    == session.document_privileges(f"http://{host}/",
+                                                   host, sitekey=sitekey))
+            for url, content_type in factoring._TEST_REQUESTS:
+                call = (url, content_type, host, parse_url(url).host)
+                assert (engine.check_request(*call, sitekey=sitekey)
+                        == session.check_request(*call, sitekey=sitekey))
+
     def test_recording_is_per_session(self):
         snapshot = EngineSnapshot.build(lists())
         recording = snapshot.session(record=True)

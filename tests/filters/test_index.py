@@ -1,5 +1,6 @@
 """Unit tests for the keyword-bucketed filter index."""
 
+from repro.filters.compiled.index import CompiledFilterIndex
 from repro.filters.index import FilterIndex
 from repro.filters.options import ContentType
 from repro.filters.parser import parse_filter
@@ -11,19 +12,24 @@ def rf(text):
     return flt
 
 
+def compiled(filters):
+    """The index an engine matches through: built, then compiled."""
+    return CompiledFilterIndex.compile(FilterIndex(filters))
+
+
 class TestIndexCompleteness:
     def test_keyword_filter_found(self):
-        index = FilterIndex([rf("||adzerk.net^$third-party")])
-        found = index.match_first(
+        index = compiled([rf("||adzerk.net^$third-party")])
+        found = index.match_all(
             "http://static.adzerk.net/x", ContentType.IMAGE,
             "reddit.com", "static.adzerk.net")
-        assert found is not None
+        assert found
 
     def test_fallback_filter_always_probed(self):
-        index = FilterIndex([rf("/ad[s]?/")])  # regex: no keyword
-        found = index.match_first(
+        index = compiled([rf("/ad[s]?/")])  # regex: no keyword
+        found = index.match_all(
             "http://x.com/ads/1.gif", ContentType.IMAGE, "p.com", "x.com")
-        assert found is not None
+        assert found
 
     def test_no_false_negatives_against_linear_scan(self):
         filters = [
@@ -34,7 +40,7 @@ class TestIndexCompleteness:
             rf("ads/banner^"),
             rf("||example.com/ad.jpg|"),
         ]
-        index = FilterIndex(filters)
+        index = compiled(filters)
         urls = [
             "http://static.adzerk.net/reddit/ads.html",
             "http://www.googleadservices.com/pagead/conversion.js",
@@ -77,7 +83,7 @@ class TestIndexCompleteness:
 
     def test_sitekey_filter_lands_in_fallback(self):
         flt = rf("@@$sitekey=KEY,document")
-        index = FilterIndex([flt])
+        index = compiled([flt])
         found = index.match_all("http://anything.com/",
                                 ContentType.DOCUMENT,
                                 "anything.com", "anything.com",
@@ -85,45 +91,10 @@ class TestIndexCompleteness:
         assert found == [flt]
 
 
-class TestInstrumentedTokenisationParity:
-    """Regression: the instrumented probe must tokenise exactly like the
-    fast path (``_url_tokens``: distinct tokens, first-occurrence order),
-    not re-run its own regex with per-occurrence accounting."""
-
-    # 'ads' occurs three times, 'cdn' twice: 5 raw token occurrences,
-    # 3 distinct tokens ('ads', 'cdn', 'http' ... plus hosts/paths).
-    URL = "http://ads.cdn.example/ads/cdn/ads?x=1"
-
-    def make_index(self):
-        return FilterIndex([rf("||ads.cdn.example^"), rf("/fall[0-9]/")])
-
-    def test_enabled_and_disabled_probe_identical_sequences(self):
-        from repro.obs import observe
-        index = self.make_index()
-        bare = list(index.candidates(self.URL))
-        with observe():
-            instrumented = list(index.candidates(self.URL))
-        assert instrumented == bare
-        # Repeated-token URL must not duplicate the bucket's filters.
-        assert [f.text for f in bare] == ["||ads.cdn.example^",
-                                          "/fall[0-9]/"]
-
-    def test_hit_miss_counters_count_distinct_tokens(self):
-        from repro.filters.index import _url_tokens
-        from repro.obs import observe
-        index = self.make_index()
-        distinct = _url_tokens(self.URL)
-        assert len(distinct) == len(set(distinct))
-        with observe() as (registry, _):
-            list(index.candidates(self.URL))
-        flat = registry.flat()
-        assert flat["filters.index.bucket_hits"] == 1   # the one keyword
-        assert (flat["filters.index.bucket_hits"]
-                + flat["filters.index.bucket_misses"]) == len(distinct)
-
+class TestUrlTokens:
     def test_url_tokens_is_plain_and_distinct(self):
         from repro.filters.index import _url_tokens
-        tokens = _url_tokens(self.URL)
+        tokens = _url_tokens("http://ads.cdn.example/ads/cdn/ads?x=1")
         assert tokens == ("http", "ads", "cdn", "example")
         # No lru_cache wrapper left: nothing to re-warm after fork.
         assert not hasattr(_url_tokens, "cache_info")

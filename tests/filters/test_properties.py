@@ -6,6 +6,7 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.filters.compiled.index import CompiledFilterIndex
 from repro.filters.index import FilterIndex
 from repro.filters.options import ContentType, parse_options
 from repro.filters.parser import (
@@ -113,7 +114,7 @@ class TestIndexEquivalence:
             flt = parse_filter(f"||{d}^$third-party")
             assert isinstance(flt, RequestFilter)
             filters.append(flt)
-        index = FilterIndex(filters)
+        index = CompiledFilterIndex.compile(FilterIndex(filters))
         url = f"http://{req_domain}/{path}"
         linear = {
             f.text for f in filters

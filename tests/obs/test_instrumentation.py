@@ -54,31 +54,6 @@ class TestIndexInstrumentation:
         assert flat["filters.index.filters{bucket=keyword}"] == 1
         assert flat["filters.index.filters{bucket=fallback}"] == 1
 
-    def test_probe_counters(self):
-        index = FilterIndex([parse_filter("||adzerk.net^"),
-                             parse_filter("/banner[0-9]+/")])
-        with observe() as (registry, _):
-            hits = list(index.candidates("http://adzerk.net/ad.js"))
-        assert len(hits) == 2  # keyword bucket + fallback
-        flat = registry.flat()
-        assert flat["filters.index.probes"] == 1
-        assert flat["filters.index.candidates_yielded"] == 2
-        assert flat["filters.index.fallback_scanned"] == 1
-        assert flat["filters.index.bucket_hits"] == 1
-        assert flat["filters.index.bucket_misses"] >= 1
-
-    def test_candidates_identical_enabled_vs_disabled(self):
-        filters = [parse_filter("||adzerk.net^"),
-                   parse_filter("||doubleclick.net/ads"),
-                   parse_filter("/banner[0-9]+/"),
-                   parse_filter("@@||gstatic.com^$third-party")]
-        index = FilterIndex(filters)
-        url = "http://sub.adzerk.net/banner12/ads.js"
-        bare = list(index.candidates(url))
-        with observe():
-            instrumented = list(index.candidates(url))
-        assert instrumented == bare
-
 
 class TestCompiledIndexInstrumentation:
     def make_compiled(self):
