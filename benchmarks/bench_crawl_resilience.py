@@ -5,8 +5,8 @@ clean run (no injected faults) it must be close to free — the whole
 point of threading resilience through the crawler is that scaling PRs
 can rely on it unconditionally.  This benchmark crawls the same targets
 through a bare ``InstrumentedBrowser.visit`` loop (the pre-resilience
-crawler) and through ``Crawler.survey``, and asserts the resilient path
-costs less than 10% extra wall-clock.
+crawler) and through a ``Crawler.visit_target`` loop, and asserts the
+resilient path costs less than 10% extra wall-clock.
 
 Run standalone::
 
@@ -19,6 +19,7 @@ break the harness itself surface on every test run.
 
 from __future__ import annotations
 
+import random
 import time
 
 from repro.filters.engine import AdblockEngine
@@ -62,8 +63,11 @@ def bare_crawl(targets: list[CrawlTarget]) -> list[CrawlRecord]:
 
 
 def resilient_crawl(targets: list[CrawlTarget]):
-    """The production path: Crawler.survey with zero injected faults."""
-    return Crawler(make_engine()).survey(targets)
+    """The production path: ``Crawler.visit_target`` with zero injected
+    faults, each visit handed an explicit backoff rng."""
+    crawler = Crawler(make_engine())
+    rng = random.Random(0)
+    return [crawler.visit_target(target, rng=rng) for target in targets]
 
 
 def _best_of(fn, targets, repeats: int) -> float:

@@ -124,6 +124,12 @@ _MAX_EXPLOIT_BITS = 88
 _MAX_WORKERS = 64
 
 
+#: The largest ``survey --top`` and ``temporal --top``: the synthetic
+#: Alexa ranking holds one million domains, so a larger top group has
+#: no ranks to draw from.
+_MAX_TOP = 1_000_000
+
+
 def _port(text: str) -> int:
     """argparse ``type`` for a TCP port number (0 picks a free one)."""
     value = int(text)
@@ -197,8 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("table2", "Table 2: Alexa partitions")
 
     survey = add("survey", "Section 5 site survey (scaled)")
-    survey.add_argument("--top", type=_int_at_least(1), default=800,
-                        help="size of the top group (paper: 5000)")
+    survey.add_argument("--top", type=_int_at_least(1, _MAX_TOP),
+                        default=800,
+                        help="size of the top group, 1 to "
+                             f"{_MAX_TOP:,} (paper: 5000)")
     survey.add_argument("--stratum", type=_int_at_least(0), default=150,
                         help="per-stratum sample size (paper: 1000)")
     survey.add_argument("--fault-rate", type=_fraction, default=0.0,
@@ -256,7 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     temporal = add("temporal",
                    "survey under historical whitelist snapshots")
-    temporal.add_argument("--top", type=_int_at_least(1), default=300)
+    temporal.add_argument("--top", type=_int_at_least(1, _MAX_TOP),
+                          default=300,
+                          help="size of the top group surveyed under "
+                               f"each snapshot, 1 to {_MAX_TOP:,} "
+                               "(default 300)")
 
     blockable = add("blockable", "Blockable Items panel for one domain")
     blockable.add_argument("domain", type=_host,

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.filters.classify import ScopeClass, classify_filter
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.study import AcceptableAdsStudy
 
@@ -126,12 +124,3 @@ def build_transparency_report(study: "AcceptableAdsStudy") -> str:
         f"{findings.deprecated_option_uses} deprecated-option uses.",
     ]
     return "\n".join(lines)
-
-
-def opaque_filters(filters) -> list:
-    """Every filter whose scope is opaque (unrestricted or sitekey)."""
-    return [
-        flt for flt in filters
-        if classify_filter(flt) in (ScopeClass.UNRESTRICTED,
-                                    ScopeClass.SITEKEY)
-    ]

@@ -157,15 +157,6 @@ class TimeSeries:
     diagnostics: list[dict] = field(default_factory=list)
     complete: bool = True
 
-    def gauge_series(self, name: str) -> list[tuple[float, float]]:
-        """``(t_s, value)`` per tick for one flat metric name."""
-        series: list[tuple[float, float]] = []
-        for sample in self.samples:
-            value = sample.get("metrics", {}).get(name)
-            if value is not None:
-                series.append((sample["t_s"], value))
-        return series
-
 
 def load_timeseries(path: str, *, strict: bool = False) -> TimeSeries:
     """Read a rotated time-series export plus its ``.diag`` sidecar.

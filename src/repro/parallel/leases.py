@@ -11,8 +11,10 @@ outstanding lease, nothing more).
 
 Three pieces live here:
 
-* :func:`generate_leases` — the pure batching function, shared by the
-  scheduler's in-process mode and its deterministic makespan model;
+* :func:`generate_leases` — the pure batching function behind the
+  scheduler's deterministic makespan model
+  (:func:`~repro.parallel.scheduler.simulate_steal_makespan`); the
+  in-process mode grants no leases at all;
 * :func:`guided_lease_size` — how many units the forked dispatcher
   grants next: up to :data:`DEFAULT_LEASE_SIZE` while much work
   remains, shrinking toward one at the tail;
@@ -20,7 +22,7 @@ Three pieces live here:
   where, which of its units have reported results, and what a
   revocation must therefore requeue.
 
-Both are deliberately free of process machinery so they can be tested
+All three are deliberately free of process machinery so they can be tested
 (and reasoned about) without forking anything.
 """
 

@@ -15,9 +15,9 @@ list and runs every unit *shared-nothing*:
   merging, so a live result and a journal-restored one are the same
   object shape down to the byte.
 
-With one worker (the survey default) the units run in-process, lease by
-lease; with more, the parent forks workers (never more than there are
-units to grant) and *dispatches*: it grants bounded *leases*
+With one worker (the survey default) the units run in-process, one at a
+time and with no leases; with more, the parent forks workers (never more
+than there are units to grant) and *dispatches*: it grants bounded *leases*
 (:mod:`repro.parallel.leases`) of the lowest pending unit indices to
 whichever worker is idle, full-size while much work remains and
 shrinking toward one unit at the tail; a
@@ -407,12 +407,12 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
     per-unit rng derivation and should be the survey's ``fault_seed``.
     ``workers=1`` runs every unit in-process; more fork that many
     supervised workers, or one per grantable unit if that is fewer.
-    ``lease_size`` is the largest lease: the in-process path runs
-    leases of exactly that size, and the forked dispatcher grants
+    ``lease_size`` caps the forked dispatcher's grants: it grants
     :func:`~repro.parallel.leases.guided_lease_size` units, which
-    shrinks toward one at the tail.  With a ``checkpoint``, completed
-    units are restored instead of re-crawled and new ones are journaled
-    crash-safely (see module docstring).  Returns outcomes per group,
+    shrinks toward one at the tail.  The in-process path grants no
+    leases.  With a ``checkpoint``, completed units are restored
+    instead of re-crawled and new ones are journaled crash-safely (see
+    module docstring).  Returns outcomes per group,
     in target order — byte-identical for every ``workers`` value, with
     checkpoint resume across worker counts.  A worker death or wedge
     costs only time, and a unit that kills ``poison_threshold`` workers
@@ -549,8 +549,9 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
 
     # -- in-process mode ---------------------------------------------------
     def run_inline() -> None:
-        """One worker (the survey default) or no fork support: leases
-        run in-process, journaling straight into the checkpoint.
+        """One worker (the survey default) or no fork support: units
+        run in-process one at a time, journaling straight into the
+        checkpoint.  No leases: there is nothing to balance.
 
         Same flush path as the forked scheduler, so the checkpoint
         journal, metric merge order, and adopted trace — and therefore
@@ -560,20 +561,16 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
         crawler = crawler_factory()
         group_ends = {end - 1 for end in itertools.accumulate(
             len(group.targets) for group in groups)}
-        for lease in generate_leases(grantable, lease_size):
-            stats.leases_granted += 1
-            results = _crawl_units(
-                crawler,
-                [unit_by_index[index] for index in lease.indices],
+        for index in grantable:
+            [(_, key, payload, metrics, spans)] = _crawl_units(
+                crawler, [unit_by_index[index]],
                 jitter_seed=jitter_seed, collect_metrics=collect_metrics,
                 collect_spans=collect_spans, trace_context=trace_context,
                 record_unit=lambda *_args: None)
-            for index, key, payload, metrics, spans in results:
-                buffer[index] = (key, payload, metrics, spans)
-                stats.units_crawled += 1
+            buffer[index] = (key, payload, metrics, spans)
+            stats.units_crawled += 1
             flush()
-            if checkpoint is not None and not group_ends.isdisjoint(
-                    lease.indices):
+            if checkpoint is not None and index in group_ends:
                 checkpoint.sync()  # durability barrier once per group
 
     # -- forked worker entry (inherited by fork, never pickled) -----------

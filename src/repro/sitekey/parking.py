@@ -184,10 +184,6 @@ class ParkedDomainServer:
         self._key = service.keypair(bits=key_bits)
         self.present_sitekey = present_sitekey
 
-    @property
-    def private_key(self) -> RsaPrivateKey:
-        return self._key
-
     def handler(self) -> Handler:
         def handle(request: HttpRequest) -> HttpResponse:
             host = request.url.host

@@ -50,10 +50,6 @@ class RsaPublicKey:
     def bits(self) -> int:
         return self.n.bit_length()
 
-    @property
-    def byte_length(self) -> int:
-        return (self.bits + 7) // 8
-
 
 @dataclass(frozen=True, slots=True)
 class RsaPrivateKey:

@@ -22,7 +22,6 @@ from repro.web.crawler import (
     CrawlRecord,
     CrawlStatus,
     CrawlTarget,
-    crawl,
     crawl_health,
 )
 from repro.web.faults import (
@@ -132,7 +131,6 @@ __all__ = [
     "blocking_networks",
     "build_page",
     "classify_error",
-    "crawl",
     "crawl_health",
     "execute_with_policy",
     "is_subdomain_of",

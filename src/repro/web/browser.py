@@ -48,9 +48,6 @@ class PageVisit:
     def allowed_count(self) -> int:
         return sum(1 for d in self.decisions if d.verdict is Verdict.ALLOW)
 
-    def activations_from(self, list_name: str) -> list[Activation]:
-        return [a for a in self.activations if a.list_name == list_name]
-
     @property
     def whitelist_activations(self) -> list[Activation]:
         return [a for a in self.activations if a.is_exception]

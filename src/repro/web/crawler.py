@@ -2,13 +2,17 @@
 
 The paper's methodology (Section 5): visit only the landing page of each
 sampled domain with an instrumented Adblock Plus, recording filter
-activations.  The crawler here does that for any iterable of
-``(domain, rank, group_index)`` triples, producing one
-:class:`CrawlOutcome` per domain — success, degraded (succeeded after
-retries), or a failed tombstone — so downstream Figure 6–8 aggregations
-always know their denominator.  Successful outcomes carry a
-:class:`CrawlRecord`, the raw material for every Section 5 table and
-figure.
+activations.  A :class:`Crawler` visits one :class:`CrawlTarget` at a
+time (:meth:`Crawler.visit_target`), producing one :class:`CrawlOutcome`
+per domain — success, degraded (succeeded after retries), or a failed
+tombstone — so downstream Figure 6–8 aggregations always know their
+denominator.  Successful outcomes carry a :class:`CrawlRecord`, the raw
+material for every Section 5 table and figure.
+
+The crawler has no batch API: every survey — the Section 5 crawl and
+the temporal extension alike — visits its targets through the one crawl
+executor, :func:`repro.parallel.scheduler.run_stealing_survey`, which
+hands each visit its own derived backoff rng.
 
 Every visit routes through the retry layer
 (:mod:`repro.web.resilience`): a :class:`~repro.web.resilience.RetryPolicy`
@@ -23,15 +27,15 @@ Two engine configurations matter (Figure 6 compares them):
 * ``easylist+whitelist`` — ABP's default: EasyList plus Acceptable Ads;
 * ``easylist-only`` — the whitelist disabled.
 
-:func:`crawl` accepts any engine, so callers run it twice to produce the
-comparison.
+A crawler is bound to one engine, so the survey builds one per
+configuration.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.filters.engine import AdblockEngine
 from repro.obs import OBS
@@ -52,7 +56,6 @@ __all__ = [
     "CrawlOutcome",
     "CrawlHealth",
     "crawl_health",
-    "crawl",
     "Crawler",
 ]
 
@@ -210,19 +213,17 @@ class Crawler:
 
     ``fault_injector`` (optional) subjects every visit to a
     :class:`~repro.web.faults.FaultPlan`; ``retry_policy`` governs how
-    hard each target is retried; ``rng`` seeds the backoff jitter (all
-    crawl randomness flows from this one ``random.Random``).  The
-    crawler shares the injector's simulated clock when one is present
-    so backoff sleeps and injected latencies add up on one clock.
+    hard each target is retried.  The crawler shares the injector's
+    simulated clock when one is present so backoff sleeps and injected
+    latencies add up on one clock.  The crawler holds no rng: each
+    visit is handed its own.
     """
 
     def __init__(self, engine: AdblockEngine, *,
                  profile_factory=None,
                  retry_policy: RetryPolicy | None = None,
-                 fault_injector: FaultInjector | None = None,
-                 rng: random.Random | None = None,
-                 **browser_kwargs) -> None:
-        self.browser = InstrumentedBrowser(engine, **browser_kwargs)
+                 fault_injector: FaultInjector | None = None) -> None:
+        self.browser = InstrumentedBrowser(engine)
         self._profile_factory = profile_factory or (
             lambda target: profile_for_domain(
                 target.domain, target.rank,
@@ -233,25 +234,27 @@ class Crawler:
         self.injector = fault_injector
         self.clock = (fault_injector.clock if fault_injector is not None
                       else SimulatedClock())
-        self.rng = rng if rng is not None else random.Random(0)
 
     def visit_target(self, target: CrawlTarget, *,
-                     rng: random.Random | None = None,
+                     rng: random.Random,
                      unit: int | None = None) -> CrawlOutcome:
         """Visit one (validated) target through the retry pipeline.
 
-        ``rng`` overrides the crawler's shared backoff rng for this one
-        visit.  The survey executor (:mod:`repro.parallel.scheduler`)
-        passes a per-target derived rng so the visit's result is
-        independent of every other target's execution, plus
-        the unit's global index as ``unit`` — recorded as a span
-        attribute so a stitched cross-worker trace names every visit by
-        its position in the global unit order.
+        ``rng`` draws this visit's backoff jitter and nothing else.  The
+        survey executor (:mod:`repro.parallel.scheduler`) passes a
+        per-target derived rng so the visit's result is independent of
+        every other target's execution, plus the unit's global index as
+        ``unit`` — recorded as a span attribute so a stitched
+        cross-worker trace names every visit by its position in the
+        global unit order.
+
+        Never raises for network-shaped trouble — a failed domain
+        becomes a tombstone.  A malformed target (empty domain, negative
+        rank) raises :class:`ValueError`: it is a caller bug, not
+        weather.
         """
         _validate_target(target)
         profile = self._profile_factory(target)
-        if rng is None:
-            rng = self.rng
 
         def attempt(_n: int) -> PageVisit:
             if self.injector is not None:
@@ -290,32 +293,3 @@ class Crawler:
                             record=record, error_class=call.error_class,
                             attempts=call.attempts,
                             latency_ms=call.elapsed * 1000.0)
-
-    def survey(self, targets: Iterable[CrawlTarget]) -> list[CrawlOutcome]:
-        """Survey ``targets``, one :class:`CrawlOutcome` each.
-
-        Never raises for network-shaped trouble — failed domains become
-        tombstones.  Malformed targets (empty domain, negative rank)
-        raise :class:`ValueError`: they are caller bugs, not weather.
-        """
-        return [self.visit_target(target) for target in targets]
-
-    def survey_records(self,
-                       targets: Iterable[CrawlTarget]) -> list[CrawlRecord]:
-        """Like :meth:`survey`, keeping only the successful records."""
-        return [outcome.record for outcome in self.survey(targets)
-                if outcome.record is not None]
-
-    def health(self, outcomes: Iterable[CrawlOutcome]) -> CrawlHealth:
-        return crawl_health(outcomes)
-
-
-def crawl(engine: AdblockEngine,
-          targets: Sequence[CrawlTarget],
-          **browser_kwargs) -> list[CrawlRecord]:
-    """One-shot convenience: survey ``targets`` with ``engine``.
-
-    Returns only the successful records (without an injector every
-    target succeeds, so this is the happy-path crawl).
-    """
-    return Crawler(engine, **browser_kwargs).survey_records(targets)

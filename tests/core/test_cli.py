@@ -83,13 +83,33 @@ class TestParser:
         (["blockable", ""], "domain"),
         (["survey", "--top=--"], "--top"),
         (["exploit", "--seed=--"], "--seed"),
+        (["survey", "--top", "1000001"], "--top"),
+        (["temporal", "--top", "1000001"], "--top"),
+        (["temporal", "--top=99999999999"], "--top"),
     ])
     def test_out_of_range_values_are_usage_errors(self, argv, option,
                                                   capsys):
+        # The parser alone must refuse the value first: were it let
+        # through, ``main`` would start the long run it names.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {option}:" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exit_info:
             main(argv, out=io.StringIO())
         assert exit_info.value.code == 2
         assert f"argument {option}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["survey", "temporal"])
+    def test_top_is_capped_at_the_ranking_size(self, command, capsys):
+        """Parser only: an accepted 1,000,000 is a long run."""
+        assert build_parser().parse_args(
+            [command, "--top", "1000000"]).top == 1_000_000
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "1 to 1,000,000" in \
+            " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("workers", ["65", "100000"])
     def test_worker_count_has_a_ceiling(self, workers, capsys):

@@ -54,12 +54,13 @@ class TestThousandDomainFaultySurvey:
     def outcomes(self):
         rng = random.Random(2015)
         injector = FaultInjector(FaultPlan.uniform(0.20, rng=rng))
-        crawler = Crawler(simple_engine(), fault_injector=injector,
-                          rng=rng)
+        crawler = Crawler(simple_engine(), fault_injector=injector)
         targets = [CrawlTarget(domain=f"survey{i}.com", rank=i + 1,
                                group_index=i % 4)
                    for i in range(1_000)]
-        return crawler.survey(targets)
+        # The fault plan and every visit's backoff draw from one stream.
+        return [crawler.visit_target(target, rng=rng)
+                for target in targets]
 
     def test_completes_with_one_outcome_per_target(self, outcomes):
         assert len(outcomes) == 1_000

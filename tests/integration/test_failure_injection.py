@@ -111,11 +111,16 @@ class TestCorruptedHistory:
 
 class TestDegenerateSurveys:
     def test_empty_target_list(self, history):
+        from repro.measurement.samples import SampleGroup
         from repro.measurement.survey import build_engines
-        from repro.web.crawler import crawl
+        from repro.parallel.scheduler import run_stealing_survey
+        from repro.web.crawler import Crawler
 
         engine, _, _ = build_engines(history)
-        assert crawl(engine, []) == []
+        empty = SampleGroup(name="empty", group_index=0, targets=())
+        assert run_stealing_survey(
+            [empty], crawler_factory=lambda: Crawler(engine),
+            workers=1) == {"empty": []}
 
     def test_stats_on_empty_records(self):
         from repro.measurement.stats import (section51_headline,

@@ -117,12 +117,10 @@ def steal_setup(history):
     profiles = make_profile_factory(history)
 
     def crawler_factory() -> Crawler:
-        rng = random.Random(7)
         return Crawler(engine, profile_factory=profiles,
                        retry_policy=RetryPolicy(max_attempts=3),
                        fault_injector=FaultInjector(
-                           FaultPlan.uniform(0.3, rng=rng)),
-                       rng=rng)
+                           FaultPlan.uniform(0.3, rng=random.Random(7))))
 
     return groups, crawler_factory
 

@@ -2,21 +2,33 @@
 
 from datetime import date
 
+from repro.filters.filterlist import parse_filter_list
+from repro.measurement.easylist import build_easylist
+from repro.measurement.survey import EASYLIST_NAME, WHITELIST_NAME, \
+    build_engines
 from repro.measurement.temporal import (
     DEFAULT_SNAPSHOT_DATES,
-    engine_at_revision,
     temporal_survey,
 )
 
 
+def engine_at(history, rev):
+    """The temporal survey's engine for ``rev``: EasyList plus the
+    whitelist as checked out at that revision."""
+    whitelist = parse_filter_list(
+        "\n".join(history.repository.checkout(rev)), name=WHITELIST_NAME)
+    easylist = build_easylist(name=EASYLIST_NAME)
+    return build_engines(history, lists=(easylist, whitelist))[0]
+
+
 class TestEngineAtRevision:
     def test_early_revision_has_tiny_whitelist(self, history):
-        engine = engine_at_revision(history, 0)
+        engine = engine_at(history, 0)
         whitelist = engine.subscriptions[1]
         assert len(whitelist) == 9
 
     def test_tip_revision_has_full_whitelist(self, history):
-        engine = engine_at_revision(history, 988)
+        engine = engine_at(history, 988)
         # 5,936 filter lines, of which the 8 Rev-326 truncated ones do
         # not parse into active filters.
         whitelist = engine.subscriptions[1]
@@ -28,8 +40,8 @@ class TestEngineAtRevision:
         from repro.filters.options import ContentType
 
         url = "http://www.googleadservices.com/pagead/conversion.js"
-        early = engine_at_revision(history, 0)
-        tip = engine_at_revision(history, 988)
+        early = engine_at(history, 0)
+        tip = engine_at(history, 988)
         blocked = early.check_request(url, ContentType.SCRIPT,
                                       "www.shop.example",
                                       "www.googleadservices.com")

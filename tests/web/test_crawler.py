@@ -10,7 +10,6 @@ from repro.web.crawler import (
     Crawler,
     CrawlStatus,
     CrawlTarget,
-    crawl,
     crawl_health,
 )
 from repro.web.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
@@ -22,6 +21,19 @@ def engine_with(filters: str) -> AdblockEngine:
     engine = AdblockEngine()
     engine.subscribe(parse_filter_list(filters, name="easylist"))
     return engine
+
+
+def visit_all(crawler: Crawler, targets) -> list:
+    """One outcome per target, in order; every visit draws its backoff
+    jitter from one ``random.Random(0)``."""
+    rng = random.Random(0)
+    return [crawler.visit_target(target, rng=rng) for target in targets]
+
+
+def crawl(engine: AdblockEngine, targets) -> list:
+    """The successful records of a plain crawl with ``engine``."""
+    return [outcome.record for outcome in visit_all(Crawler(engine), targets)
+            if outcome.record is not None]
 
 
 TARGETS = [
@@ -59,7 +71,7 @@ class TestCrawl:
 
         crawler = Crawler(engine_with("||adzerk.net^$third-party"),
                           profile_factory=factory)
-        records = crawler.survey_records(TARGETS)
+        records = [o.record for o in visit_all(crawler, TARGETS)]
         assert all(r.total_matches >= 1 for r in records)
 
     def test_deterministic_across_runs(self):
@@ -70,7 +82,7 @@ class TestCrawl:
 
     def test_survey_outcomes_clean_run(self):
         crawler = Crawler(engine_with("||adzerk.net^"))
-        outcomes = crawler.survey(TARGETS)
+        outcomes = visit_all(crawler, TARGETS)
         assert all(o.status is CrawlStatus.SUCCESS for o in outcomes)
         assert all(o.attempts == 1 for o in outcomes)
         assert all(o.record is not None for o in outcomes)
@@ -99,29 +111,29 @@ class TestTargetValidation:
     def test_empty_domain_rejected(self):
         crawler = Crawler(engine_with("||adzerk.net^"))
         with pytest.raises(ValueError, match="empty domain"):
-            crawler.survey([CrawlTarget(domain="", rank=1)])
+            visit_all(crawler, [CrawlTarget(domain="", rank=1)])
 
     def test_whitespace_domain_rejected(self):
         crawler = Crawler(engine_with("||adzerk.net^"))
         with pytest.raises(ValueError, match="empty domain"):
-            crawler.survey([CrawlTarget(domain="   ", rank=1)])
+            visit_all(crawler, [CrawlTarget(domain="   ", rank=1)])
 
     def test_padded_domain_rejected(self):
         crawler = Crawler(engine_with("||adzerk.net^"))
         with pytest.raises(ValueError, match="stray whitespace"):
-            crawler.survey([CrawlTarget(domain=" a.com ", rank=1)])
+            visit_all(crawler, [CrawlTarget(domain=" a.com ", rank=1)])
 
     def test_negative_rank_rejected(self):
         crawler = Crawler(engine_with("||adzerk.net^"))
         with pytest.raises(ValueError, match="negative rank"):
-            crawler.survey([CrawlTarget(domain="a.com", rank=-5)])
+            visit_all(crawler, [CrawlTarget(domain="a.com", rank=-5)])
 
     def test_validation_applies_under_fault_injection(self):
         crawler = Crawler(
             engine_with("||adzerk.net^"),
             fault_injector=FaultInjector(FaultPlan.uniform(1.0, seed=1)))
         with pytest.raises(ValueError):
-            crawler.survey([CrawlTarget(domain="", rank=1)])
+            visit_all(crawler, [CrawlTarget(domain="", rank=1)])
 
 
 def dns_only_injector():
@@ -139,7 +151,7 @@ class TestResilientSurvey:
     def test_hard_faults_become_tombstones_not_raises(self):
         crawler = Crawler(engine_with("||adzerk.net^"),
                           fault_injector=dns_only_injector())
-        outcomes = crawler.survey(TARGETS)
+        outcomes = visit_all(crawler, TARGETS)
         assert [o.domain for o in outcomes] == [t.domain for t in TARGETS]
         assert all(o.status is CrawlStatus.FAILED for o in outcomes)
         assert all(o.record is None for o in outcomes)
@@ -149,7 +161,7 @@ class TestResilientSurvey:
     def test_flaky_targets_degrade_but_succeed(self):
         crawler = Crawler(engine_with("||adzerk.net^"),
                           fault_injector=flaky_injector(failures=1))
-        outcomes = crawler.survey(TARGETS)
+        outcomes = visit_all(crawler, TARGETS)
         assert all(o.status is CrawlStatus.DEGRADED for o in outcomes)
         assert all(o.attempts == 2 for o in outcomes)
         assert all(o.record is not None for o in outcomes)
@@ -160,7 +172,7 @@ class TestResilientSurvey:
             engine_with("||adzerk.net^"),
             retry_policy=RetryPolicy(max_attempts=2),
             fault_injector=flaky_injector(failures=5))
-        outcomes = crawler.survey(TARGETS)
+        outcomes = visit_all(crawler, TARGETS)
         assert all(o.status is CrawlStatus.FAILED for o in outcomes)
         assert all(o.attempts == 2 for o in outcomes)
 
@@ -169,7 +181,7 @@ class TestResilientSurvey:
         clean = crawl(engine_with("||adzerk.net^$third-party"), TARGETS)
         crawler = Crawler(engine_with("||adzerk.net^$third-party"),
                           fault_injector=flaky_injector(failures=1))
-        degraded = [o.record for o in crawler.survey(TARGETS)]
+        degraded = [o.record for o in visit_all(crawler, TARGETS)]
         assert [r.total_matches for r in clean] == \
             [r.total_matches for r in degraded]
         assert [r.visit.blocked_count for r in clean] == \
@@ -178,14 +190,14 @@ class TestResilientSurvey:
     def test_latency_accumulates_on_simulated_clock(self):
         crawler = Crawler(engine_with("||adzerk.net^"),
                           fault_injector=flaky_injector(failures=1))
-        outcomes = crawler.survey(TARGETS)
+        outcomes = visit_all(crawler, TARGETS)
         assert all(o.latency_ms > 0 for o in outcomes)
         assert crawler.clock.now() > 0
 
     def test_crawl_health_summary(self):
         crawler = Crawler(engine_with("||adzerk.net^"),
                           fault_injector=dns_only_injector())
-        health = crawl_health(crawler.survey(TARGETS))
+        health = crawl_health(visit_all(crawler, TARGETS))
         assert health.total == len(TARGETS)
         assert health.failed == len(TARGETS)
         assert health.failure_counts == {"dns": len(TARGETS)}
@@ -200,13 +212,15 @@ class TestDeterminism:
         rng = random.Random(seed)
         injector = FaultInjector(FaultPlan.uniform(0.5, rng=rng))
         crawler = Crawler(engine_with("||adzerk.net^"),
-                          fault_injector=injector, rng=rng)
+                          fault_injector=injector)
         targets = [CrawlTarget(domain=f"site{i}.com", rank=i + 1,
                                group_index=i % 4)
                    for i in range(120)]
+        # The fault plan and every visit's backoff draw from one stream.
         return [(o.domain, o.status, o.error_class, o.attempts,
                  round(o.latency_ms, 9))
-                for o in crawler.survey(targets)]
+                for o in (crawler.visit_target(target, rng=rng)
+                          for target in targets)]
 
     def test_same_seed_identical_outcomes(self):
         assert self.run_once(7) == self.run_once(7)

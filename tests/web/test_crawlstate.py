@@ -1,6 +1,7 @@
 """Unit tests for the crawl-outcome journal codec."""
 
 import json
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ def payload():
     engine.subscribe(parse_filter_list("||adzerk.net^$third-party",
                                        name="easylist"))
     outcome = Crawler(engine).visit_target(
-        CrawlTarget(domain="reddit.com", rank=31))
+        CrawlTarget(domain="reddit.com", rank=31), rng=random.Random(0))
     assert outcome.record is not None
     return snapshot_outcome(outcome)
 
