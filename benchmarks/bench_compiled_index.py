@@ -9,8 +9,8 @@ regex tokenisation with one C-level byte pass and replaces generator
 resumption per candidate with prebuilt tuples.
 
 Three sections land in the JSON artifact
-(``BENCH_compiled_index.json``, or ``BENCH_compiled_index_quick.json``
-under ``BENCH_QUICK=1``):
+(``benchmarks/results/BENCH_compiled_index.json``, or
+``BENCH_compiled_index_quick.json`` under ``BENCH_QUICK=1``):
 
 * ``produce`` — time to *produce* the candidate sequence per probe:
   legacy cold (regex per call, the code as PR 4 shipped it without its
@@ -36,7 +36,6 @@ Run standalone::
 from __future__ import annotations
 
 import functools
-import json
 import os
 import random
 import time
@@ -50,15 +49,14 @@ from repro.history.generator import generate_history
 from repro.measurement.easylist import build_easylist
 from repro.web.url import parse_url
 
-from benchmarks.conftest import BENCH_QUICK, print_block
+from benchmarks.conftest import (BENCH_QUICK, RESULTS_DIR, print_block,
+                                 write_result)
 
 _CORPUS_URLS = 400 if BENCH_QUICK else 2_000
 _PROBE_REPEATS = 3 if BENCH_QUICK else 5
 
 _RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_compiled_index_quick.json" if BENCH_QUICK
-    else "BENCH_compiled_index.json")
+    RESULTS_DIR, "BENCH_compiled_index_quick.json" if BENCH_QUICK else "BENCH_compiled_index.json")
 
 
 def _build_lists():
@@ -243,9 +241,7 @@ def test_compiled_index_benchmark():
         "verdict_mismatches": mismatches,
         "artifact": artifact,
     }
-    with open(_RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_result(_RESULT_PATH, payload)
 
     print_block(
         f"compiled index ({len(legacy):,} filters, {len(corpus)} URLs): "

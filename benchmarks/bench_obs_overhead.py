@@ -22,7 +22,8 @@ A further assertion checks the other half of the contract: enabled and
 disabled runs produce *identical* analysis results (docs/OBSERVABILITY.md).
 
 The deterministic section of the emitted artifact
-(``BENCH_obs_overhead_quick.json`` under ``BENCH_QUICK=1``) — guard
+(``benchmarks/results/BENCH_obs_overhead_quick.json`` under
+``BENCH_QUICK=1``) — guard
 check count and simulated-clock sample count, pure functions of the
 workload
 — is diffed against the committed baseline by the CI perf gate.
@@ -39,7 +40,8 @@ import os
 import tempfile
 import time
 
-from benchmarks.conftest import BENCH_QUICK, print_block
+from benchmarks.conftest import (BENCH_QUICK, RESULTS_DIR, print_block,
+                                 write_result)
 from repro.history.generator import generate_history
 from repro.measurement.stats import (
     figure6_site_matches,
@@ -71,9 +73,8 @@ _TELEMETRY_CONFIG = (
     else SurveyConfig(top_n=200, stratum_size=40,
                       fault_rate=0.3, fault_seed=7))
 
-_RESULT_PATH = (
-    "BENCH_obs_overhead_quick.json" if BENCH_QUICK
-    else "BENCH_obs_overhead.json")
+_RESULT_PATH = os.path.join(
+    RESULTS_DIR, "BENCH_obs_overhead_quick.json" if BENCH_QUICK else "BENCH_obs_overhead.json")
 
 _HISTORY = None
 
@@ -291,9 +292,7 @@ def test_obs_overhead_bounds():
             "flight_events": result["flight_events"],
         },
     }
-    with open(_RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_result(_RESULT_PATH, payload)
 
     print_block(
         f"disabled: {result['disabled_s'] * 1e3:.0f} ms, "

@@ -1,7 +1,7 @@
 """Benchmark: the shared-nothing parallel survey and the engine hot path.
 
 Two questions, answered in one JSON artifact
-(``BENCH_parallel_survey.json`` at the repo root):
+(``benchmarks/results/BENCH_parallel_survey.json``):
 
 1. **How well does the survey parallelise?**  The Section 5 crawl is
    embarrassingly parallel per target, and its cost on real hardware is
@@ -32,7 +32,6 @@ shared CI runners cannot honour reliably.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -40,7 +39,8 @@ from repro.history.generator import generate_history
 from repro.measurement.survey import SurveyConfig, run_survey
 from repro.parallel.caches import reset_process_caches
 
-from benchmarks.conftest import BENCH_QUICK, print_block
+from benchmarks.conftest import (BENCH_QUICK, RESULTS_DIR, print_block,
+                                 write_result)
 
 _KEY_BITS = 128
 
@@ -60,9 +60,7 @@ _WORKER_COUNTS = (1, 2, 4, 8)
 # committed quick baseline (BENCH_parallel_survey_quick.json) rather
 # than against the full run's numbers.
 _RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_parallel_survey_quick.json" if BENCH_QUICK
-    else "BENCH_parallel_survey.json")
+    RESULTS_DIR, "BENCH_parallel_survey_quick.json" if BENCH_QUICK else "BENCH_parallel_survey.json")
 
 
 def _unit_latencies(result) -> list[float]:
@@ -188,9 +186,7 @@ def test_parallel_survey_benchmark():
         "parallel": parallel,
         "engine": engine,
     }
-    with open(_RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_result(_RESULT_PATH, payload)
 
     sim = parallel["simulated_speedup"]
     print_block(

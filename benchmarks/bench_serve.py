@@ -1,7 +1,7 @@
 """Benchmark: the filter-match serving daemon under sustained load.
 
-Three questions, answered in one JSON artifact (``BENCH_serve.json``
-at the repo root):
+Three questions, answered in one JSON artifact
+(``benchmarks/results/BENCH_serve.json``):
 
 1. **What does the daemon sustain?**  A threaded load generator drives
    the full HTTP path (admission → parse → frozen-snapshot match →
@@ -54,7 +54,8 @@ from repro.serve import (
 )
 from repro.serve.protocol import parse_match_payload, serve_match
 
-from benchmarks.conftest import BENCH_QUICK, print_block
+from benchmarks.conftest import (BENCH_QUICK, RESULTS_DIR, print_block,
+                                 write_result)
 
 _CLIENTS = 4 if BENCH_QUICK else 8
 _REQUESTS_PER_CLIENT = 50 if BENCH_QUICK else 250
@@ -62,8 +63,7 @@ _CORPUS_SIZE = 48
 _WHITELISTED_PAGES = 12
 
 _RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_serve_quick.json" if BENCH_QUICK else "BENCH_serve.json")
+    RESULTS_DIR, "BENCH_serve_quick.json" if BENCH_QUICK else "BENCH_serve.json")
 
 _WORDS = ("banner", "click", "pop", "track")
 
@@ -273,9 +273,7 @@ def test_serve_benchmark():
         "steady": steady,
         "reload_churn": reloaded,
     }
-    with open(_RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_result(_RESULT_PATH, payload)
 
     print_block(
         f"serve ({payload['config']['filters']:,} filters, "

@@ -1,7 +1,7 @@
 """Benchmark: the supervised work-stealing scheduler.
 
 Three questions, answered in one JSON artifact
-(``BENCH_steal_scheduler.json`` at the repo root):
+(``benchmarks/results/BENCH_steal_scheduler.json``):
 
 1. **How well does stealing parallelise?**  The same survey runs at
    1/2/4/8 workers; real wall-clock is
@@ -47,7 +47,8 @@ from repro.parallel.scheduler import simulate_steal_makespan
 from repro.parallel.supervisor import WorkerCrashInjector
 from repro.web.crawlstate import snapshot_outcome
 
-from benchmarks.conftest import BENCH_QUICK, print_block
+from benchmarks.conftest import (BENCH_QUICK, RESULTS_DIR, print_block,
+                                 write_result)
 
 _KEY_BITS = 128
 
@@ -65,9 +66,7 @@ _WORKER_COUNTS = (1, 2, 4, 8)
 _LEASE_SWEEP = (1, 2, 4, 8, 16)
 
 _RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_steal_scheduler_quick.json" if BENCH_QUICK
-    else "BENCH_steal_scheduler.json")
+    RESULTS_DIR, "BENCH_steal_scheduler_quick.json" if BENCH_QUICK else "BENCH_steal_scheduler.json")
 
 
 def _survey(history, *, workers=1, injector=None):
@@ -163,9 +162,7 @@ def test_steal_scheduler_benchmark():
         "steal": steal,
         "faults": faults,
     }
-    with open(_RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_result(_RESULT_PATH, payload)
 
     sim = steal["simulated_speedup"]
     print_block(

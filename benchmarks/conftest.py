@@ -16,6 +16,7 @@ price of paper-comparable numbers.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -25,6 +26,13 @@ from repro.measurement.survey import SurveyConfig
 
 #: CI smoke mode: scaled-down artifacts, same code paths.
 BENCH_QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
+
+#: Where the performance benchmarks write their ``BENCH_*.json``
+#: results (gitignored).  The ``BENCH_*.json`` files at the repository
+#: root are the committed baselines CI's perf gate diffs against; a run
+#: never overwrites them, and re-baselining is copying a result there.
+RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "results")
 
 #: Zone scale used by benchmarks (results are scaled back up).
 BENCH_ZONE_DIVISOR = 20_000 if BENCH_QUICK else 2_000
@@ -53,3 +61,11 @@ def survey(paper_study):
 def print_block(text: str) -> None:
     """Print a benchmark's comparison block, set off from pytest noise."""
     print("\n" + text + "\n")
+
+
+def write_result(path: str, payload: dict) -> None:
+    """Write one benchmark's JSON result document under ``RESULTS_DIR``."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")

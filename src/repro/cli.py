@@ -30,10 +30,12 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
+from typing import TYPE_CHECKING
 
-from repro.core.study import AcceptableAdsStudy, StudyConfig
-from repro.measurement.survey import SurveyConfig
 from repro.parallel.leases import DEFAULT_LEASE_SIZE
+
+if TYPE_CHECKING:
+    from repro.core.study import AcceptableAdsStudy
 
 __all__ = ["main", "build_parser"]
 
@@ -391,6 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _study(args) -> AcceptableAdsStudy:
+    # Imported here, not at module level: ``repro serve`` restarted from
+    # its store never builds the study, so its boot skips these imports.
+    from repro.core.study import AcceptableAdsStudy, StudyConfig
+    from repro.measurement.survey import SurveyConfig
+
     return AcceptableAdsStudy(StudyConfig(
         seed=args.seed,
         key_bits=128 if args.fast else 512,
@@ -623,6 +630,8 @@ def _serve_sources(args, out):
     Precedence: explicit ``--lists`` files, then the newest epoch in
     ``--snapshot-dir`` (a restart resumes exactly the epoch it last
     served), then the study's own EasyList + Acceptable Ads whitelist.
+    Returns ``(sources, stored)``; ``stored`` is true when the sources
+    are the store's latest epoch.
     """
     import os
 
@@ -637,18 +646,18 @@ def _serve_sources(args, out):
                 return None
             name = os.path.splitext(os.path.basename(path))[0]
             sources.append((name, text))
-        return sources
+        return sources, False
     if args.snapshot_dir:
         from repro.state.snapshots import SnapshotStore
         stored = SnapshotStore(args.snapshot_dir).load_latest()
         if stored is not None:
             epoch, sources = stored
             out.write(f"booting from stored snapshot epoch {epoch}\n")
-            return sources
+            return sources, True
     from repro.measurement.survey import build_filter_lists
 
     return [(fl.name, "\n".join(entry.text for entry in fl.entries))
-            for fl in build_filter_lists(_study(args).history)]
+            for fl in build_filter_lists(_study(args).history)], False
 
 
 def _cmd_serve(args, out) -> int:
@@ -657,9 +666,10 @@ def _cmd_serve(args, out) -> int:
                              ServeDaemon, SnapshotHolder)
     from repro.state.snapshots import SnapshotStore
 
-    sources = _serve_sources(args, out)
-    if sources is None:
+    resolved = _serve_sources(args, out)
+    if resolved is None:
         return 2
+    sources, stored = resolved
     store = (SnapshotStore(args.snapshot_dir)
              if args.snapshot_dir else None)
 
@@ -667,13 +677,10 @@ def _cmd_serve(args, out) -> int:
         try:
             # Store-aware boot: a persisted compiled-index artifact for
             # these exact lists skips keyword-bucket assignment.
-            holder = SnapshotHolder.from_sources(sources, store)
+            holder = SnapshotHolder.boot(sources, store, stored=stored)
         except ReloadError as exc:
             out.write(f"error: {exc}\n")
             return 2
-        if store is not None:
-            from repro.serve.reload import persist_snapshot_artifact
-            persist_snapshot_artifact(store, holder.current(), sources)
         daemon = ServeDaemon(
             holder,
             ServeConfig(host=args.host, port=args.port,

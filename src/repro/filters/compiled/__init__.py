@@ -10,23 +10,12 @@ fingerprint, so the serving daemon loads it instead of re-deriving
 them.  See docs/PERFORMANCE.md for the cost model.
 """
 
-from repro.filters.compiled.artifact import (
-    ARTIFACT_MAGIC,
-    ARTIFACT_VERSION,
-    CompiledArtifact,
-    CompiledArtifactError,
-    parse_artifact,
-    serialize_artifact,
-)
-from repro.filters.compiled.index import TOKEN_TABLE, CompiledFilterIndex
+from repro import _lazy_exports
 
-__all__ = [
-    "ARTIFACT_MAGIC",
-    "ARTIFACT_VERSION",
-    "CompiledArtifact",
-    "CompiledArtifactError",
-    "CompiledFilterIndex",
-    "TOKEN_TABLE",
-    "parse_artifact",
-    "serialize_artifact",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".artifact": (
+        "ARTIFACT_MAGIC", "ARTIFACT_VERSION", "CompiledArtifact",
+        "CompiledArtifactError", "parse_artifact", "serialize_artifact",
+    ),
+    ".index": ("TOKEN_TABLE", "CompiledFilterIndex"),
+})

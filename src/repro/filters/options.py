@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.web.url import is_subdomain_of
+
 __all__ = [
     "ContentType",
     "TriState",
@@ -174,33 +176,16 @@ class FilterOptions:
         best_include = -1
         best_exclude = -1
         for domain in self.domains_include:
-            if _is_subdomain_of(host, domain):
+            if is_subdomain_of(host, domain):
                 best_include = max(best_include, domain.count(".") + 1)
         for domain in self.domains_exclude:
-            if _is_subdomain_of(host, domain):
+            if is_subdomain_of(host, domain):
                 best_exclude = max(best_exclude, domain.count(".") + 1)
         if best_exclude >= 0 and best_exclude >= best_include:
             return False
         if self.domains_include:
             return best_include >= 0
         return True
-
-
-def _is_subdomain_of(host: str, domain: str) -> bool:
-    """:func:`repro.web.url.is_subdomain_of`, bound on the first call.
-
-    ``repro.web`` imports this module while its own package initialises,
-    so importing ``repro.web.url`` at module level closes an import
-    cycle.  A function-local ``import`` statement is no way out on the
-    match path either: it runs on every call and costs ~1.1 µs each time
-    (see docs/PERFORMANCE.md).  This stub imports once and rebinds the
-    module global to the real function, so every later call is a plain
-    call.
-    """
-    global _is_subdomain_of
-    from repro.web.url import is_subdomain_of
-    _is_subdomain_of = is_subdomain_of
-    return is_subdomain_of(host, domain)
 
 
 def parse_options(text: str) -> FilterOptions:

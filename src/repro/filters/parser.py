@@ -23,7 +23,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.filters import options as _options
 from repro.filters.options import (
     ContentType,
     FilterOptions,
@@ -40,6 +39,7 @@ from repro.filters.pattern import (
 )
 from repro.filters.selectors import SelectorError, SelectorList, parse_selector
 from repro.obs import OBS
+from repro.web.url import is_subdomain_of, is_third_party
 
 __all__ = [
     "Filter",
@@ -193,7 +193,7 @@ class RequestFilter(Filter):
             if not options.applies_on_domain(page_host):
                 return False
         if options.third_party is not TriState.UNSET:
-            third = _is_third_party(request_host, page_host)
+            third = is_third_party(request_host, page_host)
             if options.third_party is TriState.YES and not third:
                 return False
             if options.third_party is TriState.NO and third:
@@ -227,25 +227,11 @@ class ElementFilter(Filter):
 
     def applies_on_domain(self, page_host: str) -> bool:
         host = page_host.lower()
-        # Through the module: its stub rebinds itself on first call.
-        is_subdomain_of = _options._is_subdomain_of
         if any(is_subdomain_of(host, d) for d in self.domains_exclude):
             return False
         if self.domains_include:
             return any(is_subdomain_of(host, d) for d in self.domains_include)
         return True
-
-
-def _is_third_party(request_host: str, page_host: str) -> bool:
-    """:func:`repro.web.url.is_third_party`, bound on the first call.
-
-    Same import cycle and remedy as
-    :func:`repro.filters.options._is_subdomain_of`.
-    """
-    global _is_third_party
-    from repro.web.url import is_third_party
-    _is_third_party = is_third_party
-    return is_third_party(request_host, page_host)
 
 
 @dataclass(frozen=True, slots=True)

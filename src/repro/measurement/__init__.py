@@ -1,100 +1,31 @@
 """The Section 5 measurement study: ranking, samples, survey, statistics."""
 
-from repro.measurement.alexa import (
-    AlexaRanking,
-    GOOGLE_CCTLD_COUNT,
-    PARTITION_TARGETS,
-    StudyPopulation,
-    TOTAL_WHITELISTED_E2LDS,
-    WhitelistedPublisher,
-    WhitelistedRanks,
-    build_study_population,
-    google_cctld_domains,
-    whitelisted_rank_sets,
-)
-from repro.measurement.behavior import (
-    BehaviorReport,
-    FilterBehavior,
-    characterize_filters,
-    scope_utilisation,
-)
-from repro.measurement.easylist import EASYLIST_FILLER_COUNT, build_easylist
-from repro.measurement.samples import (
-    SAMPLE_GROUP_SPECS,
-    SampleGroup,
-    build_samples,
-)
-from repro.measurement.stats import (
-    EcdfSeries,
-    Figure7,
-    GroupFilterMatrix,
-    PartitionRow,
-    Section51Headline,
-    SiteMatchBar,
-    TopFilterRow,
-    figure6_site_matches,
-    figure7_ecdf,
-    figure8_group_matrix,
-    section51_headline,
-    table2_partitions,
-    table4_top_filters,
-)
-from repro.measurement.temporal import (
-    DEFAULT_SNAPSHOT_DATES,
-    TemporalPoint,
-    temporal_survey,
-)
-from repro.measurement.survey import (
-    EASYLIST_NAME,
-    SurveyConfig,
-    SurveyResult,
-    WHITELIST_NAME,
-    build_engines,
-    make_profile_factory,
-    run_survey,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AlexaRanking",
-    "DEFAULT_SNAPSHOT_DATES",
-    "TemporalPoint",
-    "temporal_survey",
-    "BehaviorReport",
-    "FilterBehavior",
-    "characterize_filters",
-    "scope_utilisation",
-    "EASYLIST_FILLER_COUNT",
-    "EASYLIST_NAME",
-    "EcdfSeries",
-    "Figure7",
-    "GOOGLE_CCTLD_COUNT",
-    "GroupFilterMatrix",
-    "PARTITION_TARGETS",
-    "PartitionRow",
-    "SAMPLE_GROUP_SPECS",
-    "SampleGroup",
-    "Section51Headline",
-    "SiteMatchBar",
-    "StudyPopulation",
-    "SurveyConfig",
-    "SurveyResult",
-    "TOTAL_WHITELISTED_E2LDS",
-    "TopFilterRow",
-    "WHITELIST_NAME",
-    "WhitelistedPublisher",
-    "WhitelistedRanks",
-    "build_easylist",
-    "build_engines",
-    "build_samples",
-    "build_study_population",
-    "figure6_site_matches",
-    "figure7_ecdf",
-    "figure8_group_matrix",
-    "google_cctld_domains",
-    "make_profile_factory",
-    "run_survey",
-    "section51_headline",
-    "table2_partitions",
-    "table4_top_filters",
-    "whitelisted_rank_sets",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".alexa": (
+        "AlexaRanking", "GOOGLE_CCTLD_COUNT", "PARTITION_TARGETS",
+        "StudyPopulation", "TOTAL_WHITELISTED_E2LDS", "WhitelistedPublisher",
+        "WhitelistedRanks", "build_study_population", "google_cctld_domains",
+        "whitelisted_rank_sets",
+    ),
+    ".behavior": (
+        "BehaviorReport", "FilterBehavior", "characterize_filters",
+        "scope_utilisation",
+    ),
+    ".easylist": ("EASYLIST_FILLER_COUNT", "build_easylist"),
+    ".samples": ("SAMPLE_GROUP_SPECS", "SampleGroup", "build_samples"),
+    ".stats": (
+        "EcdfSeries", "Figure7", "GroupFilterMatrix", "PartitionRow",
+        "Section51Headline", "SiteMatchBar", "TopFilterRow",
+        "figure6_site_matches", "figure7_ecdf", "figure8_group_matrix",
+        "section51_headline", "table2_partitions", "table4_top_filters",
+    ),
+    ".temporal": (
+        "DEFAULT_SNAPSHOT_DATES", "TemporalPoint", "temporal_survey",
+    ),
+    ".survey": (
+        "EASYLIST_NAME", "SurveyConfig", "SurveyResult", "WHITELIST_NAME",
+        "build_engines", "make_profile_factory", "run_survey",
+    ),
+})

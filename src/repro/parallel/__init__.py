@@ -23,40 +23,24 @@ results for a given seed.  This subpackage provides parallelism that
   backpressure.
 
 Import note: this ``__init__`` re-exports only the dependency-free core
-(rng, caches, leases, supervisor).  :mod:`repro.parallel.scheduler`
-imports the web and state layers — and those layers import
-:mod:`repro.parallel.caches` — so the executor is imported explicitly
-(``from repro.parallel.scheduler import run_stealing_survey``) to keep
-the import graph acyclic.
+(rng, caches, leases, supervisor), each resolved on first access.
+:mod:`repro.parallel.scheduler` imports the web and state layers — and
+those layers import :mod:`repro.parallel.caches` — so the executor is
+imported from its module
+(``from repro.parallel.scheduler import run_stealing_survey``).
 """
 
-from repro.parallel.caches import (
-    process_cache_stats,
-    register_process_cache,
-    registered_caches,
-    reset_process_caches,
-)
-from repro.parallel.leases import Lease, LeaseLedger, generate_leases
-from repro.parallel.rng import derive_rng, derive_seed
-from repro.parallel.supervisor import (
-    POISON_EXIT_CODE,
-    Supervisor,
-    WorkerCrashInjector,
-    WorkerHandle,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "derive_seed",
-    "derive_rng",
-    "register_process_cache",
-    "reset_process_caches",
-    "registered_caches",
-    "process_cache_stats",
-    "Lease",
-    "LeaseLedger",
-    "generate_leases",
-    "Supervisor",
-    "WorkerHandle",
-    "WorkerCrashInjector",
-    "POISON_EXIT_CODE",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".caches": (
+        "process_cache_stats", "register_process_cache", "registered_caches",
+        "reset_process_caches",
+    ),
+    ".leases": ("Lease", "LeaseLedger", "generate_leases"),
+    ".rng": ("derive_rng", "derive_seed"),
+    ".supervisor": (
+        "POISON_EXIT_CODE", "Supervisor", "WorkerCrashInjector",
+        "WorkerHandle",
+    ),
+})

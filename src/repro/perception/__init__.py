@@ -1,57 +1,21 @@
 """The Section 6 user-perception study."""
 
-from repro.perception.ads import (
-    AdClass,
-    AdPlacement,
-    SURVEY_ADS,
-    SURVEY_SITES,
-    ad_by_label,
-    ads_in_class,
-)
-from repro.perception.likert import (
-    Likert,
-    LikertDistribution,
-    THRESHOLDS,
-    latent_to_likert,
-)
-from repro.perception.respondents import (
-    BROWSER_SHARES,
-    Demographics,
-    RESPONDENT_COUNT,
-    Respondent,
-    build_population,
-    demographics,
-)
-from repro.perception.survey import (
-    PerceptionResult,
-    QUESTIONS_PER_RESPONDENT,
-    Response,
-    STATEMENTS,
-    Statement,
-    run_perception_survey,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AdClass",
-    "AdPlacement",
-    "BROWSER_SHARES",
-    "Demographics",
-    "Likert",
-    "LikertDistribution",
-    "PerceptionResult",
-    "QUESTIONS_PER_RESPONDENT",
-    "RESPONDENT_COUNT",
-    "Respondent",
-    "Response",
-    "STATEMENTS",
-    "SURVEY_ADS",
-    "SURVEY_SITES",
-    "Statement",
-    "THRESHOLDS",
-    "ad_by_label",
-    "ads_in_class",
-    "build_population",
-    "demographics",
-    "latent_to_likert",
-    "run_perception_survey",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".ads": (
+        "AdClass", "AdPlacement", "SURVEY_ADS", "SURVEY_SITES", "ad_by_label",
+        "ads_in_class",
+    ),
+    ".likert": (
+        "Likert", "LikertDistribution", "THRESHOLDS", "latent_to_likert",
+    ),
+    ".respondents": (
+        "BROWSER_SHARES", "Demographics", "RESPONDENT_COUNT", "Respondent",
+        "build_population", "demographics",
+    ),
+    ".survey": (
+        "PerceptionResult", "QUESTIONS_PER_RESPONDENT", "Response",
+        "STATEMENTS", "Statement", "run_perception_survey",
+    ),
+})

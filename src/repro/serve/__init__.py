@@ -35,46 +35,19 @@ process needs:
 (200, 'served', 'block')
 """
 
-from repro.serve.admission import AdmissionController, AdmissionDecision
-from repro.serve.chaos import (
-    ChaosReport,
-    kill_reloader,
-    run_chaos_clients,
-    wedge_reloader,
-)
-from repro.serve.daemon import ServeConfig, ServeDaemon
-from repro.serve.protocol import (
-    MatchRequest,
-    ProtocolError,
-    parse_match_payload,
-    serve_match,
-)
-from repro.serve.reload import (
-    ReloadError,
-    Reloader,
-    ReloadResult,
-    SnapshotHolder,
-    build_snapshot_from_sources,
-    validate_sources,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "ChaosReport",
-    "MatchRequest",
-    "ProtocolError",
-    "ReloadError",
-    "ReloadResult",
-    "Reloader",
-    "ServeConfig",
-    "ServeDaemon",
-    "SnapshotHolder",
-    "build_snapshot_from_sources",
-    "kill_reloader",
-    "parse_match_payload",
-    "run_chaos_clients",
-    "serve_match",
-    "validate_sources",
-    "wedge_reloader",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".admission": ("AdmissionController", "AdmissionDecision"),
+    ".chaos": (
+        "ChaosReport", "kill_reloader", "run_chaos_clients", "wedge_reloader",
+    ),
+    ".daemon": ("ServeConfig", "ServeDaemon"),
+    ".protocol": (
+        "MatchRequest", "ProtocolError", "parse_match_payload", "serve_match",
+    ),
+    ".reload": (
+        "ReloadError", "Reloader", "ReloadResult", "SnapshotHolder",
+        "build_snapshot_from_sources", "validate_sources",
+    ),
+})

@@ -128,13 +128,18 @@ def build_snapshot_from_sources(
     The ``serve.reload.build`` crashpoint lets the chaos harness kill
     the builder mid-compile and prove the old epoch keeps serving.
     """
+    return _build_snapshot(sources, store)[0]
+
+
+def _build_snapshot(sources, store):
+    """The snapshot, and whether the stored artifact attached to it."""
     lists = validate_sources(sources)
     crashpoint("serve.reload.build")
     if store is not None:
         snapshot = _snapshot_from_artifact(sources, lists, store)
         if snapshot is not None:
-            return snapshot
-    return EngineSnapshot.build(lists)
+            return snapshot, True
+    return EngineSnapshot.build(lists), False
 
 
 def _snapshot_from_artifact(sources, lists, store):
@@ -199,6 +204,25 @@ class SnapshotHolder:
                      ) -> "SnapshotHolder":
         """Boot a holder, loading the compiled artifact when available."""
         return cls(build_snapshot_from_sources(sources, store), sources)
+
+    @classmethod
+    def boot(cls, sources: Sequence[tuple[str, str]],
+             store: SnapshotStore | None, *, stored: bool
+             ) -> "SnapshotHolder":
+        """Boot a daemon's holder and make ``store`` hold what it serves.
+
+        ``stored`` says ``sources`` are the store's latest epoch.  When
+        they are and their compiled artifact attached, the store already
+        holds both, and persisting would only rewrite identical bytes,
+        so nothing is written.  Any other boot with a store — explicit
+        list files, an empty store, a missing or rejected blob —
+        persists the sources and the artifact, so the next restart
+        loads the artifact.
+        """
+        snapshot, attached = _build_snapshot(sources, store)
+        if store is not None and not (stored and attached):
+            persist_snapshot_artifact(store, snapshot, sources)
+        return cls(snapshot, sources)
 
     def current(self) -> EngineSnapshot:
         with self._lock:

@@ -5,84 +5,29 @@ server-side signing, client-side verification, the parked-domain scan of
 Table 3, and the weak-key factoring attack of Figure 5.
 """
 
-from repro.sitekey.der import (
-    DerError,
-    decode_public_key,
-    encode_public_key,
-    public_key_from_base64,
-    public_key_to_base64,
-)
-from repro.sitekey.factoring import (
-    BypassDemo,
-    FactoredKey,
-    FactoringError,
-    factor_semiprime,
-    factor_sitekey,
-    pollard_p_minus_1,
-    pollard_rho,
-    recover_private_key,
-    run_bypass_demo,
-)
-from repro.sitekey.parking import (
-    DEFAULT_SCALE_DIVISOR,
-    PARKING_SERVICES,
-    ParkedDomainServer,
-    ParkingService,
-    ScanResult,
-    ZoneEntry,
-    ZoneScanner,
-    synthesize_zone,
-)
-from repro.sitekey.protocol import (
-    SitekeyVerification,
-    make_header,
-    signed_string,
-    split_header,
-    verify_presented_key,
-)
-from repro.sitekey.rsa import (
-    RsaPrivateKey,
-    RsaPublicKey,
-    generate_keypair,
-    generate_prime,
-    is_probable_prime,
-    sign,
-    verify,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BypassDemo",
-    "DEFAULT_SCALE_DIVISOR",
-    "DerError",
-    "FactoredKey",
-    "FactoringError",
-    "PARKING_SERVICES",
-    "ParkedDomainServer",
-    "ParkingService",
-    "RsaPrivateKey",
-    "RsaPublicKey",
-    "ScanResult",
-    "SitekeyVerification",
-    "ZoneEntry",
-    "ZoneScanner",
-    "decode_public_key",
-    "encode_public_key",
-    "factor_semiprime",
-    "factor_sitekey",
-    "generate_keypair",
-    "generate_prime",
-    "is_probable_prime",
-    "make_header",
-    "pollard_p_minus_1",
-    "pollard_rho",
-    "public_key_from_base64",
-    "public_key_to_base64",
-    "recover_private_key",
-    "run_bypass_demo",
-    "sign",
-    "signed_string",
-    "split_header",
-    "verify",
-    "verify_presented_key",
-    "synthesize_zone",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".der": (
+        "DerError", "decode_public_key", "encode_public_key",
+        "public_key_from_base64", "public_key_to_base64",
+    ),
+    ".factoring": (
+        "BypassDemo", "FactoredKey", "FactoringError", "factor_semiprime",
+        "factor_sitekey", "pollard_p_minus_1", "pollard_rho",
+        "recover_private_key", "run_bypass_demo",
+    ),
+    ".parking": (
+        "DEFAULT_SCALE_DIVISOR", "PARKING_SERVICES", "ParkedDomainServer",
+        "ParkingService", "ScanResult", "ZoneEntry", "ZoneScanner",
+        "synthesize_zone",
+    ),
+    ".protocol": (
+        "SitekeyVerification", "make_header", "signed_string", "split_header",
+        "verify_presented_key",
+    ),
+    ".rsa": (
+        "RsaPrivateKey", "RsaPublicKey", "generate_keypair", "generate_prime",
+        "is_probable_prime", "sign", "verify",
+    ),
+})

@@ -30,40 +30,23 @@ rest of :mod:`repro`, so every other layer (web, measurement, history,
 obs, cli) can depend on it without cycles.
 """
 
-from repro.state.atomic import (ArtifactError, atomic_write_bytes,
-                                atomic_write_jsonl, atomic_write_text,
-                                jsonl_footer, read_jsonl)
-from repro.state.checkpoint import Checkpoint, CheckpointError
-from repro.state.crashpoints import (CRASH, CrashInjector, SimulatedCrash,
-                                     crashing, crashpoint)
-from repro.state.journal import (JournalCorruption, JournalError,
-                                 RunJournal, replay_journal)
-from repro.state.leaselog import (LeaseLog, discard_lease_log,
-                                  lease_log_path, read_lease_strikes)
-from repro.state.snapshots import SnapshotStore, SnapshotStoreError
+from repro import _lazy_exports
 
-__all__ = [
-    "ArtifactError",
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "atomic_write_jsonl",
-    "jsonl_footer",
-    "read_jsonl",
-    "JournalError",
-    "JournalCorruption",
-    "RunJournal",
-    "replay_journal",
-    "Checkpoint",
-    "CheckpointError",
-    "CRASH",
-    "CrashInjector",
-    "SimulatedCrash",
-    "crashing",
-    "crashpoint",
-    "LeaseLog",
-    "discard_lease_log",
-    "lease_log_path",
-    "read_lease_strikes",
-    "SnapshotStore",
-    "SnapshotStoreError",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".atomic": (
+        "ArtifactError", "atomic_write_bytes", "atomic_write_jsonl",
+        "atomic_write_text", "jsonl_footer", "read_jsonl",
+    ),
+    ".checkpoint": ("Checkpoint", "CheckpointError"),
+    ".crashpoints": (
+        "CRASH", "CrashInjector", "SimulatedCrash", "crashing", "crashpoint",
+    ),
+    ".journal": (
+        "JournalCorruption", "JournalError", "RunJournal", "replay_journal",
+    ),
+    ".leaselog": (
+        "LeaseLog", "discard_lease_log", "lease_log_path",
+        "read_lease_strikes",
+    ),
+    ".snapshots": ("SnapshotStore", "SnapshotStoreError"),
+})

@@ -199,7 +199,8 @@ class TestServeSources:
         monkeypatch.setattr(cli, "_study",
                             lambda args: SimpleNamespace(history=history))
         args = build_parser().parse_args(["serve", *FAST])
-        sources = cli._serve_sources(args, io.StringIO())
+        sources, stored = cli._serve_sources(args, io.StringIO())
+        assert not stored
         assert [name for name, _ in sources] == ["easylist",
                                                  "exceptionrules"]
         digest = hashlib.sha256()
