@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.filters.options import ContentType
+from repro.web.url import parse_url
 
 __all__ = [
     "AdResource",
@@ -44,9 +45,12 @@ __all__ = [
 class AdResource:
     """One resource a network adds to a page.
 
-    ``url_template`` may contain ``{host}`` (the embedding page's host).
-    ``element`` optionally describes a DOM element injected alongside the
-    request: ``(tag, attr_name, attr_value)``.
+    ``url_template`` may contain ``{host}`` (the embedding page's host)
+    and ``{variant}``, but only in its path or query: the network serves
+    every page from one fixed host, parsed once into :attr:`host` when
+    the resource is defined.  A placeholder in the netloc raises
+    :class:`ValueError`.  ``element`` optionally describes a DOM element
+    injected alongside the request: ``(tag, attr_name, attr_value)``.
     """
 
     url_template: str
@@ -59,6 +63,17 @@ class AdResource:
     #: them all — which is why the survey's five most-activated filters
     #: are all whitelist filters (Figure 8).
     variants: tuple[str, ...] = ()
+    #: The request host of every URL the template formats.
+    host: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        rest = self.url_template.partition("://")[2] or self.url_template
+        netloc = rest.partition("/")[0]
+        if "{" in netloc or "}" in netloc:
+            raise ValueError(
+                f"url_template {self.url_template!r}: placeholders may "
+                f"appear only in the path or query, not in the host")
+        object.__setattr__(self, "host", parse_url(self.url_template).host)
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,7 +24,7 @@ from repro.filters.engine import (
     Verdict,
 )
 from repro.web.dom import Element
-from repro.web.sites import BuiltPage, SiteProfile, build_page
+from repro.web.sites import SiteProfile, build_page
 from repro.web.url import parse_url
 
 __all__ = ["PageVisit", "InstrumentedBrowser"]
@@ -62,35 +62,37 @@ class PageVisit:
 
 
 class InstrumentedBrowser:
-    """A browser bound to an :class:`AdblockEngine` and a page source.
+    """A browser bound to an :class:`AdblockEngine`.
 
-    ``page_source`` maps a :class:`SiteProfile` (plus browser state) to a
-    :class:`BuiltPage`; the default is :func:`repro.web.sites.build_page`.
-    ``sitekey_provider`` optionally supplies the *verified* sitekey a
-    page's server presented (the verification itself lives in
-    :mod:`repro.sitekey.protocol`; by the time the engine sees a key the
-    signature has been checked).
+    Every page it loads comes from :func:`repro.web.sites.build_page`,
+    so every request arrives with its host: the browser parses only the
+    page URL, once per visit.  ``sitekey_provider`` optionally supplies
+    the *verified* sitekey a page's server presented (the verification
+    itself lives in :mod:`repro.sitekey.protocol`; by the time the
+    engine sees a key the signature has been checked).
     """
 
     def __init__(
         self,
         engine: AdblockEngine,
         *,
-        page_source: Callable[..., BuiltPage] | None = None,
         sitekey_provider: Callable[[str], str | None] | None = None,
     ) -> None:
         self.engine = engine
-        self._page_source = page_source or build_page
         self._sitekey_provider = sitekey_provider
         self._visited_domains: set[str] = set()
         self.engine.recording = True
 
     def visit(self, profile: SiteProfile) -> PageVisit:
-        """Load ``profile``'s landing page and record all activations."""
+        """Load ``profile``'s landing page and record all activations.
+
+        A page URL that does not parse (a malformed domain) raises
+        :class:`~repro.web.url.URLError` before any request is checked.
+        """
         has_cookies = profile.domain in self._visited_domains
         self._visited_domains.add(profile.domain)
 
-        page = self._page_source(
+        page = build_page(
             profile,
             has_cookies=has_cookies,
             adblock_visible=profile.adblock_detecting,
@@ -108,12 +110,13 @@ class InstrumentedBrowser:
 
         visit = PageVisit(domain=profile.domain, page_url=page_url)
         for request in page.requests:
-            request_host = parse_url(request.url).host
+            # The page's own requests (no network) take the parsed,
+            # normalised page host; catalog requests carry theirs.
             decision = self.engine.check_request(
                 request.url,
                 request.content_type,
                 page_host,
-                request_host,
+                request.host if request.network else page_host,
                 privileges=privileges,
                 sitekey=sitekey,
             )

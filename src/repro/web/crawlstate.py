@@ -12,7 +12,10 @@ Request decisions are stored as their verdict alone and hidden
 elements as detached ``(tag, attributes, text, ad_label)`` nodes: the
 blocking/exception filter objects and DOM tree links they drop are
 never consulted after the visit returns, and carrying live filter
-references would tie the journal to engine internals.
+references would tie the journal to engine internals.  A restored
+decision is therefore fully described by its verdict, and every
+restored request with the same verdict shares one frozen
+:class:`~repro.filters.engine.RequestDecision`.
 
 No crawler state is journaled: the survey executor
 (:mod:`repro.parallel.scheduler`) runs every unit shared-nothing, so
@@ -106,6 +109,12 @@ def _restore_element(data: dict) -> Element:
                    text=data["text"], ad_label=data["ad_label"])
 
 
+#: Journaled verdict value -> the one decision every restored request
+#: with that verdict shares (empty ``blocking``/``exceptions``).
+_RESTORED_DECISIONS = {verdict.value: RequestDecision(verdict=verdict)
+                       for verdict in Verdict}
+
+
 def snapshot_outcome(outcome: CrawlOutcome) -> dict:
     """Flatten one outcome to the JSON shape journaled per target."""
     record = None
@@ -146,8 +155,7 @@ def restore_outcome(data: dict) -> CrawlOutcome:
         visit = PageVisit(
             domain=target.domain,
             page_url=raw["page_url"],
-            decisions=[RequestDecision(verdict=Verdict(v))
-                       for v in raw["verdicts"]],
+            decisions=[_RESTORED_DECISIONS[v] for v in raw["verdicts"]],
             hidden=[_restore_element(e) for e in raw["hidden"]],
             activations=[_restore_activation(a)
                          for a in raw["activations"]],

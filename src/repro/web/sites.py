@@ -49,9 +49,15 @@ AD_LIGHT_FRACTION = 0.239
 
 @dataclass(frozen=True, slots=True)
 class PageRequest:
-    """One subresource request a page will issue when loaded."""
+    """One subresource request a page will issue when loaded.
+
+    ``host`` is the host of ``url``, known when the URL is generated:
+    a catalog resource's fixed host, or ``www.<domain>`` for the page's
+    own requests (those carry no ``network``).
+    """
 
     url: str
+    host: str
     content_type: ContentType
     network: str = ""
 
@@ -458,6 +464,7 @@ def build_page(
                     req_url = f"{req_url}{sep}slot={i}"
                 requests.append(PageRequest(
                     url=req_url,
+                    host=resource.host,
                     content_type=resource.content_type,
                     network=net.name,
                 ))
@@ -473,11 +480,13 @@ def build_page(
         el.ad_label = label
 
     # Benign subresources every real page has (never match filters).
+    # They start with the page URL, so they share the page's host.
+    own_host = f"www.{profile.domain}"
     requests.append(PageRequest(
-        url=f"http://www.{profile.domain}/static/main.css",
+        url=f"{url}static/main.css", host=own_host,
         content_type=ContentType.STYLESHEET))
     requests.append(PageRequest(
-        url=f"http://www.{profile.domain}/static/app.js",
+        url=f"{url}static/app.js", host=own_host,
         content_type=ContentType.SCRIPT))
 
     return BuiltPage(document=doc, requests=requests, profile=profile)

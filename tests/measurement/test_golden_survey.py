@@ -1,16 +1,20 @@
 """Golden pin: the Section 5 survey's outcomes, byte for byte.
 
-Two reduced surveys over the study's own history are digested exactly
-the way the repository benchmark's survey workload digests its output:
-every outcome row of both engine configurations, then the Table 4
-rows, then the Section 5.1 headline.  The digests equal the benchmark's
-pinned ``survey-inline/small/0`` (``top_n=60``, ``stratum_size=15``)
-and ``survey-inline/full/0`` (``top_n=300``, ``stratum_size=75``)
-values, so any change to how requests are matched, recorded or counted
+Two reduced surveys and the paper-scale one over the study's own
+history are digested exactly the way the repository benchmark's survey
+workload digests its output: every outcome row of both engine
+configurations, then the Table 4 rows, then the Section 5.1 headline.
+The reduced digests equal the benchmark's pinned
+``survey-inline/small/0`` (``top_n=60``, ``stratum_size=15``) and
+``survey-inline/full/0`` (``top_n=300``, ``stratum_size=75``) values,
+so any change to how requests are matched, recorded or counted
 — a reordered candidate, a lost activation, a moved Table 4 row —
 fails here, in the ordinary test run, before it can move the paper's
 numbers.  The larger sample holds requests that several filters match
 in an order-sensitive way, which the smaller one does not exercise.
+The paper-scale survey (``top_n=5000``, ``stratum_size=1000``: 8,000
+domains, 16,000 visits, ~4 s) is the one the paper reports; its digest
+pins every row behind Table 4 and Figures 6-8.
 """
 
 import dataclasses
@@ -30,6 +34,8 @@ GOLDEN = {
         "ab271e8dcde46253468f25e38f5b0338cef41c5f2da50fe8b857e3ce50c43768",
     (300, 75):
         "a1cea4b2b30a581c0a6837f772fb88d863d5cdc1bcdfb6d7f06c6f7730fb68d1",
+    (5000, 1000):
+        "13bb5ed6c701dbfb06ba010e060ca0eb1aec517cf386fa52d9e42538334c8f38",
 }
 
 
@@ -66,3 +72,7 @@ def test_small_survey_digest_is_pinned():
 
 def test_full_survey_digest_is_pinned():
     assert _pinned_digest(300, 75) == GOLDEN[300, 75]
+
+
+def test_paper_scale_survey_digest_is_pinned():
+    assert _pinned_digest(5000, 1000) == GOLDEN[5000, 1000]

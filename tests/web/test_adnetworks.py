@@ -1,14 +1,18 @@
 """Unit tests for the ad-network catalog and variant machinery."""
 
+import pytest
+
 from repro.filters.options import ContentType
 from repro.filters.parser import RequestFilter, parse_filter
 from repro.web.adnetworks import (
     NETWORK_CATALOG,
+    AdResource,
     blocking_networks,
     network,
     whitelisted_networks,
 )
 from repro.web.sites import build_page, profile_for_domain, SiteProfile
+from repro.web.url import parse_url
 
 
 class TestCatalogConsistency:
@@ -32,6 +36,34 @@ class TestCatalogConsistency:
                              if resource.variants else ""))
                 assert url.startswith("http")
 
+    def test_every_template_netloc_is_placeholder_free(self):
+        for net in NETWORK_CATALOG:
+            for resource in net.resources:
+                netloc = resource.url_template.split("://", 1)[1]
+                netloc = netloc.split("/", 1)[0]
+                assert "{" not in netloc and "}" not in netloc, net.name
+                for variant in resource.variants or ("",):
+                    url = resource.url_template.format(
+                        host="some-site.co.uk", variant=variant)
+                    assert parse_url(url).host == resource.host
+
+    @pytest.mark.parametrize("template", [
+        "http://{host}/ad.js",
+        "http://ads.{host}/ad.js",
+        "http://{variant}.cdn.net/ad.js",
+        "http://cdn.net:{host}/ad.js",
+    ])
+    def test_placeholder_in_netloc_raises(self, template):
+        with pytest.raises(ValueError, match="not in the host"):
+            AdResource(template, ContentType.SCRIPT)
+
+    def test_host_is_derived_not_passed(self):
+        resource = AdResource("http://Ads.Example.NET/{variant}?s={host}",
+                              ContentType.IMAGE, variants=("a",))
+        assert resource.host == "ads.example.net"
+        with pytest.raises(TypeError):
+            AdResource("http://a.net/x", ContentType.IMAGE, host="b.net")
+
     def test_whitelist_filter_matches_every_variant(self):
         """The broad-exception / narrow-blocking asymmetry of Fig 8:
         each network's whitelist filter must cover all its variants."""
@@ -43,8 +75,6 @@ class TestCatalogConsistency:
                 for variant in variants:
                     url = resource.url_template.format(
                         host="site.com", variant=variant)
-                    from repro.web.url import parse_url
-
                     host = parse_url(url).host
                     matched = any(
                         isinstance(f, RequestFilter)
@@ -60,8 +90,6 @@ class TestCatalogConsistency:
         """Every variant of a blocked network must hit some blocking
         filter — otherwise a whitelist exception could be needless by
         accident rather than by design."""
-        from repro.web.url import parse_url
-
         for net in NETWORK_CATALOG:
             if not net.blocking_filters:
                 continue

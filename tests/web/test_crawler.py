@@ -128,6 +128,20 @@ class TestTargetValidation:
         with pytest.raises(ValueError, match="negative rank"):
             visit_all(crawler, [CrawlTarget(domain="a.com", rank=-5)])
 
+    @pytest.mark.parametrize("domain", ["bad host.com", "bad$host.com",
+                                        "x..com"])
+    def test_unparseable_domain_becomes_failed_tombstone(self, domain):
+        """The page URL is parsed inside the visit attempt, so a domain
+        it cannot hold fails that target alone, without retries."""
+        crawler = Crawler(engine_with("||adzerk.net^"))
+        bad, good = visit_all(crawler, [CrawlTarget(domain=domain, rank=5),
+                                        TARGETS[0]])
+        assert bad.status is CrawlStatus.FAILED
+        assert bad.error_class == "invalid-target"
+        assert bad.attempts == 1
+        assert bad.record is None
+        assert good.status is CrawlStatus.SUCCESS
+
     def test_validation_applies_under_fault_injection(self):
         crawler = Crawler(
             engine_with("||adzerk.net^"),

@@ -7,6 +7,7 @@ import pytest
 
 from repro.filters.engine import AdblockEngine
 from repro.filters.filterlist import parse_filter_list
+from repro.measurement.survey import SurveyConfig, run_survey
 from repro.web.crawler import Crawler, CrawlStatus, CrawlTarget
 from repro.web.crawlstate import restore_outcome, snapshot_outcome
 
@@ -40,3 +41,39 @@ class TestBreakerOpenKey:
             json.loads(json.dumps(payload))))
         assert again == payload
         assert again["breaker_open"] is False
+
+
+@pytest.fixture(scope="module")
+def faulty_survey_payloads(history):
+    result = run_survey(history, SurveyConfig(
+        top_n=60, stratum_size=15, fault_rate=0.3, fault_seed=3))
+    return [snapshot_outcome(outcome)
+            for by_group in (result.outcomes, result.outcomes_easylist_only)
+            for outcomes in by_group.values()
+            for outcome in outcomes]
+
+
+class TestSurveyRoundTrip:
+    """Every outcome a faulty survey journals restores to itself."""
+
+    def test_covers_every_status(self, faulty_survey_payloads):
+        statuses = {p["status"] for p in faulty_survey_payloads}
+        assert statuses == {s.value for s in CrawlStatus}
+
+    def test_snapshot_of_restore_is_identity(self, faulty_survey_payloads):
+        for payload in faulty_survey_payloads:
+            journaled = json.loads(json.dumps(payload))
+            assert snapshot_outcome(restore_outcome(journaled)) == payload
+
+    def test_restored_decisions_are_shared_per_verdict(
+            self, faulty_survey_payloads):
+        by_verdict = {}
+        for payload in faulty_survey_payloads:
+            record = restore_outcome(payload).record
+            if record is None:
+                continue
+            for decision in record.visit.decisions:
+                assert decision.blocking == () == decision.exceptions
+                assert by_verdict.setdefault(decision.verdict,
+                                             decision) is decision
+        assert len(by_verdict) == 3

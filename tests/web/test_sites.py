@@ -1,5 +1,9 @@
 """Unit tests for site profiles and page synthesis."""
 
+import pytest
+
+from repro.measurement.samples import build_samples
+from repro.measurement.survey import make_profile_factory
 from repro.web.adnetworks import NETWORK_CATALOG, network
 from repro.web.sites import (
     AD_LIGHT_FRACTION,
@@ -9,6 +13,7 @@ from repro.web.sites import (
     pinned_profile,
     profile_for_domain,
 )
+from repro.web.url import parse_url
 
 
 class TestPinnedProfiles:
@@ -128,6 +133,52 @@ class TestBuildPage:
         a = build_page(profile)
         b = build_page(profile)
         assert [r.url for r in a.requests] == [r.url for r in b.requests]
+
+
+class TestRequestHosts:
+    """Every generated request carries the host its URL parses to.
+
+    The browser reads ``PageRequest.host`` instead of parsing each
+    request URL, so the contract must hold for every page the survey
+    can build, in every browser state.
+    """
+
+    STATES = [(cookies, visible) for cookies in (False, True)
+              for visible in (False, True)]
+
+    @staticmethod
+    def _assert_hosts(profile, has_cookies, adblock_visible):
+        page = build_page(profile, has_cookies=has_cookies,
+                          adblock_visible=adblock_visible)
+        for request in page.requests:
+            assert request.host == parse_url(request.url).host, (
+                profile.domain, request.url)
+            if not request.network:
+                # The page's own requests: the browser gives them the
+                # parsed page host.
+                assert request.url.startswith(page.document.url)
+        return len(page.requests)
+
+    @pytest.mark.parametrize("has_cookies,adblock_visible", STATES)
+    def test_pinned_profiles(self, has_cookies, adblock_visible):
+        total = sum(self._assert_hosts(profile, has_cookies,
+                                       adblock_visible)
+                    for profile in PINNED_PROFILES.values())
+        assert total > 0
+
+    @pytest.mark.parametrize("has_cookies,adblock_visible", STATES)
+    def test_ranked_survey_domains(self, history, has_cookies,
+                                   adblock_visible):
+        factory = make_profile_factory(history)
+        targets = [target for group in build_samples(
+                       history.population.ranking, top_n=400,
+                       stratum_size=50)
+                   for target in group.targets]
+        assert len(targets) >= 500
+        total = sum(self._assert_hosts(factory(target), has_cookies,
+                                       adblock_visible)
+                    for target in targets)
+        assert total > len(targets)
 
 
 class TestCatalogIntegrity:
