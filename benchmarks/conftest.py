@@ -28,7 +28,8 @@ from repro.measurement.survey import SurveyConfig
 BENCH_QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
 #: Where the performance benchmarks write their ``BENCH_*.json``
-#: results (gitignored).  The ``BENCH_*.json`` files at the repository
+#: results.  The directory is committed but its contents are ignored
+#: (its own ``.gitignore``).  The ``BENCH_*.json`` files at the repository
 #: root are the committed baselines CI's perf gate diffs against; a run
 #: never overwrites them, and re-baselining is copying a result there.
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),

@@ -9,8 +9,10 @@ Walks ``README.md`` and ``docs/*.md`` and verifies that
   module — and, when it names an attribute, the attribute exists.
 """
 
+import functools
 import importlib
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,40 @@ DOTTED_RE = re.compile(r"^repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+$")
 def _prose(doc: Path) -> str:
     """Document text with fenced code blocks removed."""
     return FENCE_RE.sub("", doc.read_text(encoding="utf-8"))
+
+
+@functools.cache
+def _tracked() -> frozenset[str] | None:
+    """Every path git tracks in ``REPO``, plus every directory above one.
+
+    ``None`` when ``REPO`` is not a git checkout (an unpacked sdist, say),
+    or git cannot list it.
+    """
+    if not (REPO / ".git").exists():
+        return None
+    try:
+        out = subprocess.run(["git", "-C", str(REPO), "ls-files", "-z"],
+                             capture_output=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    tracked = set()
+    for name in filter(None, out.decode("utf-8").split("\0")):
+        parts = name.split("/")
+        tracked.update("/".join(parts[:i]) for i in range(1, len(parts) + 1))
+    return frozenset(tracked)
+
+
+def _present(path: str) -> bool:
+    """Whether the repo holds ``path``, not just this working tree.
+
+    In a git checkout a path counts only when git tracks it or a file
+    under it, so a directory that an earlier run created does not hide
+    one that a clean clone lacks.
+    """
+    tracked = _tracked()
+    if tracked is None:
+        return (REPO / path).exists()
+    return path in tracked
 
 
 def _doc_ids(paths):
@@ -64,7 +100,7 @@ def test_backticked_paths_exist(doc):
             continue
         if any(ch in token for ch in "*{} "):
             continue  # glob patterns and prose
-        if not (REPO / token.rstrip("/")).exists():
+        if not _present(token.rstrip("/")):
             missing.append(token)
     assert not missing, f"{doc.name}: missing paths {missing}"
 
