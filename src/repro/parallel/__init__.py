@@ -10,11 +10,13 @@ results for a given seed.  This subpackage provides parallelism that
 * :mod:`repro.parallel.caches` — a registry of process-local
   ``lru_cache`` tables cleared across ``fork`` (bounded per-worker
   memory, per-worker cache statistics);
-* :mod:`repro.parallel.leases` — bounded work leases and the
-  dispatcher-side :class:`~repro.parallel.leases.LeaseLedger`;
+* :mod:`repro.parallel.leases` — bounded work leases and the guided
+  lease size of each forked grant;
 * :mod:`repro.parallel.supervisor` — worker lifecycle: spawn, heartbeat
   deadlines, exit reaping, restart budget, deterministic
-  :class:`~repro.parallel.supervisor.WorkerCrashInjector`;
+  :class:`~repro.parallel.supervisor.WorkerCrashInjector`; each
+  worker's handle records the lease it holds and how many of its units
+  have reported back;
 * :mod:`repro.parallel.scheduler` — the survey's one crawl executor,
   supervised work stealing: in-process for one worker, forked
   otherwise, with shard journals that merge into the standard
@@ -37,7 +39,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
         "process_cache_stats", "register_process_cache", "registered_caches",
         "reset_process_caches",
     ),
-    ".leases": ("Lease", "LeaseLedger", "generate_leases"),
+    ".leases": ("Lease", "generate_leases"),
     ".rng": ("derive_rng", "derive_seed"),
     ".supervisor": (
         "POISON_EXIT_CODE", "Supervisor", "WorkerCrashInjector",

@@ -9,7 +9,7 @@ lease is the unit of both load balancing (a slow worker simply claims
 fewer leases) and failure recovery (a dead worker forfeits exactly its
 outstanding lease, nothing more).
 
-Three pieces live here:
+Two pieces live here:
 
 * :func:`generate_leases` — the pure batching function behind the
   scheduler's deterministic makespan model
@@ -17,22 +17,21 @@ Three pieces live here:
   in-process mode grants no leases at all;
 * :func:`guided_lease_size` — how many units the forked dispatcher
   grants next: up to :data:`DEFAULT_LEASE_SIZE` while much work
-  remains, shrinking toward one at the tail;
-* :class:`LeaseLedger` — the dispatcher's bookkeeping of which lease is
-  where, which of its units have reported results, and what a
-  revocation must therefore requeue.
+  remains, shrinking toward one at the tail.
 
-All three are deliberately free of process machinery so they can be tested
-(and reasoned about) without forking anything.
+Both are deliberately free of process machinery so they can be tested
+(and reasoned about) without forking anything.  Which lease a worker
+holds, and how much of it has reported back, is the worker's handle's
+business (:class:`~repro.parallel.supervisor.WorkerHandle`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 __all__ = ["Lease", "DEFAULT_LEASE_SIZE", "generate_leases",
-           "guided_lease_size", "LeaseLedger"]
+           "guided_lease_size"]
 
 #: The largest lease a worker is granted (``--lease-size``).  Every
 #: forked lease costs a grant message, a lease-log append, a shard-journal
@@ -92,94 +91,3 @@ def guided_lease_size(pending: int, workers: int, cap: int) -> int:
     [32, 32, 3, 1]
     """
     return max(1, min(cap, -(-pending // (2 * workers))))
-
-
-@dataclass(slots=True)
-class _OpenLease:
-    """Dispatcher-side state of one granted, not-yet-finished lease."""
-
-    lease: Lease
-    worker: int
-    done: set[int] = field(default_factory=set)
-
-    @property
-    def incomplete(self) -> tuple[int, ...]:
-        return tuple(index for index in self.lease.indices
-                     if index not in self.done)
-
-
-class LeaseLedger:
-    """Tracks granted leases, their per-unit progress, and revocations.
-
-    The ledger is the scheduler's single source of truth for "which
-    units are in flight where".  It never touches processes or pipes:
-    the scheduler reports events (grant, unit result, lease finished,
-    worker death) and the ledger answers the recovery question — what
-    must be requeued, and which unit is the prime suspect for having
-    killed the worker.
-
-    >>> ledger = LeaseLedger()
-    >>> lease = ledger.grant(worker=0, indices=(4, 5, 6))
-    >>> ledger.complete(lease.lease_id, 4)
-    >>> ledger.revoke(lease.lease_id)
-    (5, 6)
-    >>> ledger.outstanding
-    0
-    """
-
-    def __init__(self) -> None:
-        self._next_id = 0
-        self._open: dict[int, _OpenLease] = {}
-
-    @property
-    def outstanding(self) -> int:
-        """Number of granted leases that have not finished or been
-        revoked."""
-        return len(self._open)
-
-    @property
-    def in_flight(self) -> int:
-        """Total units granted but not yet reported back."""
-        return sum(len(entry.incomplete) for entry in self._open.values())
-
-    def grant(self, worker: int, indices: Iterable[int]) -> Lease:
-        """Open a new lease of ``indices`` for ``worker``."""
-        lease = Lease(self._next_id, tuple(indices))
-        if not lease.indices:
-            raise ValueError("cannot grant an empty lease")
-        self._next_id += 1
-        self._open[lease.lease_id] = _OpenLease(lease, worker)
-        return lease
-
-    def complete(self, lease_id: int, index: int) -> None:
-        """Record one unit result for an open lease.
-
-        Results from unknown leases are ignored: a lease revoked after
-        a heartbeat timeout may, in principle, race one last buffered
-        message home — the scheduler has already requeued the unit, and
-        the deterministic re-crawl produces the identical payload.
-        """
-        entry = self._open.get(lease_id)
-        if entry is not None:
-            entry.done.add(index)
-
-    def finish(self, lease_id: int) -> None:
-        """Close a lease the worker reports fully done."""
-        entry = self._open.pop(lease_id, None)
-        if entry is not None and entry.incomplete:
-            raise ValueError(
-                f"lease {lease_id} finished with incomplete units "
-                f"{entry.incomplete}")
-
-    def revoke(self, lease_id: int) -> tuple[int, ...]:
-        """Withdraw a lease from a dead worker; return its unfinished
-        units, lowest global index first (the first one is the unit the
-        worker died on — the quarantine suspect)."""
-        entry = self._open.pop(lease_id, None)
-        return entry.incomplete if entry is not None else ()
-
-    def leases_of(self, worker: int) -> tuple[int, ...]:
-        """IDs of the open leases currently held by ``worker``."""
-        return tuple(lease_id
-                     for lease_id, entry in self._open.items()
-                     if entry.worker == worker)

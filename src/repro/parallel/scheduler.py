@@ -29,7 +29,7 @@ restart budget.
 
 **Determinism.**  Results are byte-identical for any worker count *and
 any kill schedule*, because every unit executes under the
-shared-nothing invariants above (see :func:`_crawl_units`) and the
+shared-nothing invariants above (see :func:`_crawl_unit`) and the
 parent folds results in global unit order.  A unit that dies with its
 worker is simply re-crawled elsewhere: same derivation, same bytes.
 
@@ -96,7 +96,7 @@ from repro.obs import (
     ProgressTracker,
     Tracer,
 )
-from repro.parallel.leases import (DEFAULT_LEASE_SIZE, LeaseLedger,
+from repro.parallel.leases import (DEFAULT_LEASE_SIZE, Lease,
                                    generate_leases, guided_lease_size)
 from repro.parallel.rng import derive_rng
 from repro.parallel.supervisor import Supervisor, WorkerCrashInjector
@@ -143,9 +143,7 @@ class StealStats:
 
     Everything here may vary with worker count, host timing, and kill
     schedule, which is exactly why it lives outside the result
-    registry and trace.  ``supervisor_trace`` collects wall-clock
-    supervision spans (dispatch, per-death recovery) when diagnostics
-    are enabled.
+    registry and trace.
     """
 
     workers: int = 0
@@ -161,7 +159,6 @@ class StealStats:
     backpressure_stalls: int = 0
     max_heartbeat_lag_s: float = 0.0
     quarantined: list[int] = field(default_factory=list)
-    supervisor_trace: Tracer = NULL_TRACER
 
     def publish(self) -> None:
         """Mirror the counters into ``OBS.diagnostics`` (if enabled)."""
@@ -239,18 +236,16 @@ def adopt_shard_journals(checkpoint: Checkpoint, scope: str) -> int:
 
 # -- per-unit shared-nothing execution -------------------------------------
 
-def _crawl_units(crawler: Crawler,
-                 units: Sequence[tuple[int, str, CrawlTarget]],
-                 *, jitter_seed: int, collect_metrics: bool,
-                 collect_spans: bool, trace_context: tuple[str, int],
-                 record_unit: Callable[[int, str, dict], None]) -> list:
-    """Crawl ``units`` shared-nothing; return mergeable result tuples.
+def _crawl_unit(crawler: Crawler, unit: tuple[int, str, CrawlTarget],
+                *, jitter_seed: int, collect_metrics: bool,
+                collect_spans: bool, trace_context: tuple[str, int]
+                ) -> tuple[str, dict, dict | None, list | None]:
+    """Crawl one ``(index, group_name, target)`` unit shared-nothing.
 
-    Each returned tuple is ``(index, key, payload, metrics, spans)``
-    where ``payload`` is the checkpoint unit payload, ``metrics`` is
-    the unit's registry snapshot (``None`` with metrics off), and
-    ``spans`` is the unit's span-record shard (``None`` with tracing
-    off).
+    Returns the mergeable ``(key, payload, metrics, spans)``, where
+    ``payload`` is the checkpoint unit payload, ``metrics`` is the
+    unit's registry snapshot (``None`` with metrics off), and ``spans``
+    is the unit's span-record shard (``None`` with tracing off).
 
     ``trace_context`` is ``(parent_span_id, depth)`` of the parent
     process's enclosing span: each unit's private tracer is rooted
@@ -259,49 +254,42 @@ def _crawl_units(crawler: Crawler,
     """
     from repro.obs.export import span_records
 
+    index, group_name, target = unit
     trace_parent, trace_depth = trace_context
-    results = []
-    for index, group_name, target in units:
-        rng = derive_rng(jitter_seed, _JITTER_LABEL, target.domain,
-                         target.rank)
-        # Latencies are clock *deltas*; rewinding to zero per unit makes
-        # them exact sums from t=0, independent of what earlier units on
-        # this worker consumed (float addition is not associative).
-        crawler.clock.rewind()
-        metrics = None
-        spans = None
-        if OBS.enabled:
-            previous = (OBS.registry, OBS.tracer, OBS.enabled)
-            registry = MetricsRegistry() if collect_metrics else NULL_REGISTRY
-            # The unit tracer runs on the unit's simulated clock: its
-            # readings (and so the exported spans) are deterministic,
-            # unlike wall time, which is what byte-identity across
-            # worker counts requires.
-            tracer = (Tracer(clock=crawler.clock.now,
-                             root_parent_id=trace_parent,
-                             root_depth=trace_depth,
-                             root_ordinal_ns=f"{index}:")
-                      if collect_spans else NULL_TRACER)
-            OBS.registry = registry
-            OBS.tracer = tracer
-            OBS.enabled = registry.enabled or tracer.enabled
-            try:
-                outcome = crawler.visit_target(target, rng=rng,
-                                               unit=index)
-            finally:
-                OBS.registry, OBS.tracer, OBS.enabled = previous
-            if collect_metrics:
-                metrics = registry.snapshot()
-            if collect_spans:
-                spans = span_records(tracer)
-        else:
-            outcome = crawler.visit_target(target, rng=rng)
-        key = unit_key(group_name, target)
-        payload = {"group": group_name,
-                   "outcome": snapshot_outcome(outcome)}
-        record_unit(index, key, payload)
-        results.append((index, key, payload, metrics, spans))
-    return results
+    rng = derive_rng(jitter_seed, _JITTER_LABEL, target.domain, target.rank)
+    # Latencies are clock *deltas*; rewinding to zero per unit makes
+    # them exact sums from t=0, independent of what earlier units on
+    # this worker consumed (float addition is not associative).
+    crawler.clock.rewind()
+    metrics = None
+    spans = None
+    if OBS.enabled:
+        previous = (OBS.registry, OBS.tracer, OBS.enabled)
+        registry = MetricsRegistry() if collect_metrics else NULL_REGISTRY
+        # The unit tracer runs on the unit's simulated clock: its
+        # readings (and so the exported spans) are deterministic,
+        # unlike wall time, which is what byte-identity across
+        # worker counts requires.
+        tracer = (Tracer(clock=crawler.clock.now,
+                         root_parent_id=trace_parent,
+                         root_depth=trace_depth,
+                         root_ordinal_ns=f"{index}:")
+                  if collect_spans else NULL_TRACER)
+        OBS.registry = registry
+        OBS.tracer = tracer
+        OBS.enabled = registry.enabled or tracer.enabled
+        try:
+            outcome = crawler.visit_target(target, rng=rng, unit=index)
+        finally:
+            OBS.registry, OBS.tracer, OBS.enabled = previous
+        if collect_metrics:
+            metrics = registry.snapshot()
+        if collect_spans:
+            spans = span_records(tracer)
+    else:
+        outcome = crawler.visit_target(target, rng=rng)
+    payload = {"group": group_name, "outcome": snapshot_outcome(outcome)}
+    return unit_key(group_name, target), payload, metrics, spans
 
 
 # -- the deterministic makespan model --------------------------------------
@@ -431,9 +419,6 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
     if stats is None:
         stats = StealStats()
     stats.lease_size = lease_size
-    if OBS.diagnostics.enabled:
-        stats.supervisor_trace = Tracer()
-    trace = stats.supervisor_trace
 
     units: list[tuple[int, str, CrawlTarget]] = [
         (index, group.name, target)
@@ -562,12 +547,10 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
         group_ends = {end - 1 for end in itertools.accumulate(
             len(group.targets) for group in groups)}
         for index in grantable:
-            [(_, key, payload, metrics, spans)] = _crawl_units(
-                crawler, [unit_by_index[index]],
-                jitter_seed=jitter_seed, collect_metrics=collect_metrics,
-                collect_spans=collect_spans, trace_context=trace_context,
-                record_unit=lambda *_args: None)
-            buffer[index] = (key, payload, metrics, spans)
+            buffer[index] = _crawl_unit(
+                crawler, unit_by_index[index], jitter_seed=jitter_seed,
+                collect_metrics=collect_metrics,
+                collect_spans=collect_spans, trace_context=trace_context)
             stats.units_crawled += 1
             flush()
             if checkpoint is not None and index in group_ends:
@@ -589,31 +572,26 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
                 shard_journal_path(checkpoint_path, incarnation),
                 {"shard": incarnation, "scope": scope, "slot": slot})
 
-        def record_unit(index: int, key: str, payload: dict) -> None:
-            if journal is not None:
-                journal.append({"kind": "unit", "scope": scope,
-                                "key": key, "index": index,
-                                "payload": payload})
-
         units_done = 0
         try:
             while True:
                 message = conn.recv()
                 if message[0] == "stop":
                     break
-                _kind, lease_id, indices = message
-                for index in indices:
+                for index in message[1]:
                     if crash_injector is not None:
                         crash_injector.execute(crash_injector.verdict(
                             slot, incarnation, units_done, index))
-                    result, = _crawl_units(
-                        crawler, [unit_by_index[index]],
+                    key, payload, metrics, spans = _crawl_unit(
+                        crawler, unit_by_index[index],
                         jitter_seed=jitter_seed,
                         collect_metrics=collect_metrics,
                         collect_spans=collect_spans,
-                        trace_context=trace_context,
-                        record_unit=record_unit)
-                    _index, key, payload, metrics, spans = result
+                        trace_context=trace_context)
+                    if journal is not None:
+                        journal.append({"kind": "unit", "scope": scope,
+                                        "key": key, "index": index,
+                                        "payload": payload})
                     if spans:
                         # Transport tag for crash forensics; the parent
                         # strips it at adoption (placement is not a
@@ -624,12 +602,12 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
                     # its final element; fork children share the
                     # parent's CLOCK_MONOTONIC epoch, so the parent
                     # turns receive-minus-send into heartbeat *lag*.
-                    conn.send(("unit", lease_id, index, key, payload,
-                               metrics, spans, time.monotonic()))
+                    conn.send(("unit", index, key, payload, metrics, spans,
+                               time.monotonic()))
                     units_done += 1
                 if journal is not None:
                     journal.sync()  # batched fsync, once per lease
-                conn.send(("lease_done", lease_id, time.monotonic()))
+                conn.send(("lease_done", time.monotonic()))
         except (EOFError, KeyboardInterrupt):
             pass  # parent gone; nothing left to report to
         finally:
@@ -646,24 +624,25 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
         supervisor = Supervisor(worker_entry, workers=workers,
                                 heartbeat_timeout=heartbeat_timeout,
                                 max_restarts=max_worker_restarts)
-        ledger = LeaseLedger()
+        lease_ids = itertools.count()
         heap = list(grantable)
         heapq.heapify(heap)
 
         def on_message(handle, message) -> None:
-            kind = message[0]
-            if kind == "unit":
-                _, lease_id, index, key, payload, metrics, spans = message
-                ledger.complete(lease_id, index)
-                if index not in buffer and index not in outcomes:
-                    buffer[index] = (key, payload, metrics, spans)
-                    stats.units_crawled += 1
+            # A handle's pipe is drained before its lease is revoked and
+            # closed after, so every message answers the lease it holds.
+            if message[0] == "unit":
+                _, index, key, payload, metrics, spans = message
+                handle.reported += 1
+                buffer[index] = (key, payload, metrics, spans)
+                stats.units_crawled += 1
                 strikes.pop(index, None)  # it ran fine; absolve it
-            elif kind == "lease_done":
-                ledger.finish(message[1])
-                if (handle.lease is not None
-                        and handle.lease.lease_id == message[1]):
-                    handle.lease = None
+            else:  # "lease_done"
+                if handle.unreported:
+                    raise SchedulerError(
+                        f"lease {handle.lease.lease_id} finished with "
+                        f"unreported units {handle.unreported}")
+                handle.lease = None
 
         def drain(handle) -> None:
             try:
@@ -680,44 +659,36 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
             except (EOFError, OSError):
                 pass  # worker died mid-message; the reap handles it
 
-        def handle_death(handle, reason: str) -> None:
-            with trace.span("steal.recover_worker", slot=handle.slot,
-                            incarnation=handle.incarnation, reason=reason):
-                stats.worker_deaths += 1
-                if reason == "timeout":
-                    stats.heartbeat_timeouts += 1
-                drain(handle)  # salvage results already in the pipe
-                if handle.lease is not None:
-                    lease_id = handle.lease.lease_id
-                    incomplete = ledger.revoke(lease_id)
-                    suspect = incomplete[0] if incomplete else None
-                    OBS.flight.record("lease.revoke", lease=lease_id,
-                                      slot=handle.slot, reason=reason,
-                                      suspect=suspect)
-                    if suspect is None:
-                        if lease_log is not None:
-                            lease_log.revoke(lease_id, reason=reason,
-                                             suspect=None, strikes=0)
-                    else:
-                        strikes[suspect] = strikes.get(suspect, 0) + 1
-                        if lease_log is not None:
-                            lease_log.revoke(lease_id, reason=reason,
-                                             suspect=suspect,
-                                             strikes=strikes[suspect])
-                        requeue = list(incomplete)
-                        if strikes[suspect] >= poison_threshold:
-                            quarantine(suspect)
-                            requeue.remove(suspect)
-                        for index in requeue:
-                            heapq.heappush(heap, index)
-                        stats.units_reassigned += len(requeue)
-                    handle.lease = None
-                try:
-                    handle.conn.close()
-                except OSError:
-                    pass
-                if heap or ledger.outstanding:
-                    supervisor.respawn(handle.slot)
+        def revoke(handle, reason: str) -> None:
+            stats.worker_deaths += 1
+            if reason == "timeout":
+                stats.heartbeat_timeouts += 1
+            drain(handle)  # salvage results already in the pipe
+            if handle.lease is not None:
+                lease_id = handle.lease.lease_id
+                requeue = handle.unreported
+                suspect = requeue[0] if requeue else None
+                OBS.flight.record("lease.revoke", lease=lease_id,
+                                  slot=handle.slot, reason=reason,
+                                  suspect=suspect)
+                if suspect is not None:
+                    strikes[suspect] = strikes.get(suspect, 0) + 1
+                if lease_log is not None:
+                    lease_log.revoke(lease_id, reason=reason,
+                                     suspect=suspect,
+                                     strikes=strikes.get(suspect, 0))
+                if (suspect is not None
+                        and strikes[suspect] >= poison_threshold):
+                    quarantine(suspect)
+                    requeue = requeue[1:]
+                for index in requeue:
+                    heapq.heappush(heap, index)
+                stats.units_reassigned += len(requeue)
+                handle.lease = None
+            try:
+                handle.conn.close()
+            except OSError:
+                pass
 
         def try_grant() -> None:
             for handle in list(supervisor.handles.values()):
@@ -732,8 +703,9 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
                     return
                 size = guided_lease_size(len(heap), workers, lease_size)
                 indices = [heapq.heappop(heap) for _ in range(size)]
-                lease = ledger.grant(handle.slot, indices)
+                lease = Lease(next(lease_ids), tuple(indices))
                 handle.lease = lease
+                handle.reported = 0
                 supervisor.note_activity(handle)  # deadline from grant
                 stats.leases_granted += 1
                 OBS.flight.record("lease.grant", lease=lease.lease_id,
@@ -744,7 +716,7 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
                     lease_log.grant(lease.lease_id, handle.slot,
                                     handle.incarnation, indices)
                 try:
-                    handle.conn.send(("lease", lease.lease_id, indices))
+                    handle.conn.send(("lease", indices))
                 except (BrokenPipeError, OSError):
                     pass  # found dead on the next poll; revoked there
 
@@ -762,7 +734,8 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
                     len(supervisor.handles))
                 registry.gauge("parallel.steal.backlog").set(len(buffer))
                 registry.gauge("parallel.steal.lease_queue").set(
-                    len(heap) + ledger.in_flight)
+                    len(heap) + sum(len(handle.unreported) for handle
+                                    in supervisor.handles.values()))
                 registry.gauge("parallel.steal.units_flushed").set(
                     cursor)
                 registry.gauge(
@@ -774,32 +747,35 @@ def run_stealing_survey(groups, *, crawler_factory: Callable[[], Crawler],
                         1 if handle.idle else 0)
             OBS.timeseries.sample_diagnostics()
 
-        with trace.span("steal.dispatch", workers=workers,
-                        lease_size=lease_size, units=len(grantable)):
-            supervisor.spawn_initial()
-            try:
-                while True:
-                    flush()
-                    if flush_complete():
-                        break
-                    try_grant()
-                    if not supervisor.handles:
-                        raise SchedulerError(
-                            f"no workers left: {stats.worker_deaths} "
-                            f"died ({stats.heartbeat_timeouts} wedged), "
-                            f"restart budget {max_worker_restarts} "
-                            f"spent, {len(heap) + ledger.in_flight} "
-                            f"unit(s) unfinished")
-                    by_conn = {handle.conn: handle
-                               for handle in supervisor.handles.values()}
-                    for ready in connection.wait(list(by_conn),
-                                                 timeout=poll_interval):
-                        drain(by_conn[ready])
-                    for handle, reason in supervisor.dead_workers():
-                        handle_death(handle, reason)
-                    sample_liveness()
-            finally:
-                supervisor.shutdown()  # no zombies, on any path
+        supervisor.spawn_initial()
+        try:
+            while True:
+                flush()
+                if flush_complete():
+                    break
+                try_grant()
+                if not supervisor.handles:
+                    raise SchedulerError(
+                        f"no workers left: {stats.worker_deaths} "
+                        f"died ({stats.heartbeat_timeouts} wedged), "
+                        f"restart budget {max_worker_restarts} "
+                        f"spent, {len(heap)} unit(s) unfinished")
+                by_conn = {handle.conn: handle
+                           for handle in supervisor.handles.values()}
+                for ready in connection.wait(list(by_conn),
+                                             timeout=poll_interval):
+                    drain(by_conn[ready])
+                dead = supervisor.dead_workers()
+                for handle, reason in dead:
+                    revoke(handle, reason)
+                # Replace the dead while work is queued or still leased.
+                if heap or not all(live.idle
+                                   for live in supervisor.handles.values()):
+                    for handle, _reason in dead:
+                        supervisor.respawn(handle.slot)
+                sample_liveness()
+        finally:
+            supervisor.shutdown()  # no zombies, on any path
         stats.worker_restarts = supervisor.restarts_used
         stats.max_heartbeat_lag_s = supervisor.max_lag_s
         return supervisor

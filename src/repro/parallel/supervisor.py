@@ -98,6 +98,11 @@ class WorkerCrashInjector:
 class WorkerHandle:
     """Parent-side state of one live worker incarnation.
 
+    ``lease`` is the lease the worker holds (granted only while idle)
+    and ``reported`` how many of its units have come back.  A worker
+    crawls its lease in order and reports over an ordered pipe, so the
+    units still owed are exactly :attr:`unreported`.
+
     ``last_lag_s`` is the most recent *heartbeat lag* — how long the
     worker's last message sat in the pipe before the parent drained it
     (receive time minus the worker's monotonic send stamp).  Liveness
@@ -111,6 +116,7 @@ class WorkerHandle:
     conn: object  # multiprocessing.connection.Connection
     last_seen: float
     lease: Lease | None = None
+    reported: int = 0
     exit_code: int | None = None
     last_lag_s: float = 0.0
 
@@ -118,13 +124,24 @@ class WorkerHandle:
     def idle(self) -> bool:
         return self.lease is None
 
+    @property
+    def unreported(self) -> tuple[int, ...]:
+        """Units of the held lease not yet reported, in crawl order: a
+        revocation requeues them, and the first is the unit the worker
+        was on when it died (the quarantine suspect)."""
+        if self.lease is None:
+            return ()
+        return self.lease.indices[self.reported:]
+
 
 class Supervisor:
     """Spawns, watches, reaps, and respawns the scheduler's workers.
 
-    ``spawn_worker(slot, incarnation, child_conn)`` is the worker entry
-    point (a closure over the unit list — workers inherit it by fork);
-    the supervisor owns process lifecycle only, never lease logic.
+    ``worker_entry(slot, incarnation, child_conn)`` is the worker entry
+    point (a closure over the unit list — workers inherit it by fork).
+    The supervisor owns process lifecycle; the scheduler grants and
+    revokes leases, and the supervisor reads a handle's lease only to
+    decide whether a silent worker owes it anything.
     ``max_restarts`` bounds replacement spawns across the whole run
     (the initial ``workers`` spawns are free).
     """
@@ -143,8 +160,6 @@ class Supervisor:
         self._next_incarnation = 0
         self.handles: dict[int, WorkerHandle] = {}  # slot -> live handle
         self.restarts_used = 0
-        self.deaths = 0
-        self.timeouts = 0
         self.max_lag_s = 0.0
 
     # -- spawning --------------------------------------------------------
@@ -232,11 +247,9 @@ class Supervisor:
                 handle.proc.join()
                 handle.exit_code = handle.proc.exitcode
                 dead.append((handle, "timeout"))
-                self.timeouts += 1
             else:
                 continue
             del self.handles[slot]
-            self.deaths += 1
         if dead:
             from repro.obs import OBS
             for handle, reason in dead:

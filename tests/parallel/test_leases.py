@@ -1,9 +1,8 @@
-"""Unit tests for lease generation and the dispatcher's lease ledger."""
+"""Unit tests for lease generation and the guided lease size."""
 
 import pytest
 
-from repro.parallel.leases import (Lease, LeaseLedger, generate_leases,
-                                   guided_lease_size)
+from repro.parallel.leases import Lease, generate_leases, guided_lease_size
 
 
 class TestGenerateLeases:
@@ -65,63 +64,3 @@ class TestGuidedLeaseSize:
 
     def test_cap_one_grants_single_units(self):
         assert _grant_sizes(7, workers=2, cap=1) == [1] * 7
-
-
-class TestLeaseLedger:
-    def test_grant_complete_finish_lifecycle(self):
-        ledger = LeaseLedger()
-        lease = ledger.grant(worker=0, indices=(0, 1, 2))
-        assert ledger.outstanding == 1
-        assert ledger.in_flight == 3
-        for index in lease.indices:
-            ledger.complete(lease.lease_id, index)
-        assert ledger.in_flight == 0
-        ledger.finish(lease.lease_id)
-        assert ledger.outstanding == 0
-
-    def test_lease_ids_are_sequential(self):
-        ledger = LeaseLedger()
-        first = ledger.grant(worker=0, indices=(0,))
-        second = ledger.grant(worker=1, indices=(1,))
-        assert (first.lease_id, second.lease_id) == (0, 1)
-
-    def test_empty_grant_rejected(self):
-        with pytest.raises(ValueError):
-            LeaseLedger().grant(worker=0, indices=())
-
-    def test_revoke_returns_incomplete_lowest_first(self):
-        ledger = LeaseLedger()
-        lease = ledger.grant(worker=0, indices=(4, 5, 6, 7))
-        ledger.complete(lease.lease_id, 5)
-        assert ledger.revoke(lease.lease_id) == (4, 6, 7)
-        assert ledger.outstanding == 0
-
-    def test_revoke_unknown_lease_is_harmless(self):
-        assert LeaseLedger().revoke(99) == ()
-
-    def test_complete_after_revoke_is_ignored(self):
-        """A dead worker's last buffered message must not corrupt the
-        ledger after its lease was revoked and requeued."""
-        ledger = LeaseLedger()
-        lease = ledger.grant(worker=0, indices=(0, 1))
-        ledger.revoke(lease.lease_id)
-        ledger.complete(lease.lease_id, 0)  # late echo; no effect
-        assert ledger.outstanding == 0
-        assert ledger.in_flight == 0
-
-    def test_finish_with_incomplete_units_rejected(self):
-        ledger = LeaseLedger()
-        lease = ledger.grant(worker=0, indices=(0, 1))
-        ledger.complete(lease.lease_id, 0)
-        with pytest.raises(ValueError, match="incomplete"):
-            ledger.finish(lease.lease_id)
-
-    def test_leases_of_tracks_per_worker_holdings(self):
-        ledger = LeaseLedger()
-        a = ledger.grant(worker=0, indices=(0,))
-        b = ledger.grant(worker=1, indices=(1,))
-        c = ledger.grant(worker=0, indices=(2,))
-        assert ledger.leases_of(0) == (a.lease_id, c.lease_id)
-        assert ledger.leases_of(1) == (b.lease_id,)
-        ledger.revoke(a.lease_id)
-        assert ledger.leases_of(0) == (c.lease_id,)

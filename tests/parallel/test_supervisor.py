@@ -18,8 +18,9 @@ from repro.measurement.samples import SampleGroup
 from repro.measurement.survey import (SurveyConfig, build_engines,
                                       build_samples, make_profile_factory,
                                       run_survey)
+from repro.obs import FlightRecorder, observe
 from repro.parallel import scheduler
-from repro.parallel.leases import (DEFAULT_LEASE_SIZE, LeaseLedger,
+from repro.parallel.leases import (DEFAULT_LEASE_SIZE, Lease,
                                    guided_lease_size)
 from repro.state import (Checkpoint, CrashInjector, SimulatedCrash,
                          crashing, lease_log_path, read_lease_strikes)
@@ -120,6 +121,21 @@ class TestSupervisorBookkeeping:
         assert handle.last_lag_s == 0.0
         assert handle.last_seen == 5.0
         assert supervisor.max_lag_s == 0.0
+
+    def test_unreported_units_are_the_lease_suffix(self):
+        """Workers crawl a lease in order over an ordered pipe, so the
+        units a revocation requeues are the ones after the reported
+        prefix, and the first of them is the quarantine suspect."""
+        handle = WorkerHandle(slot=0, incarnation=0, proc=None,
+                              conn=None, last_seen=0.0)
+        assert handle.idle and handle.unreported == ()
+        handle.lease = Lease(0, (4, 5, 6, 7))
+        assert not handle.idle
+        assert handle.unreported == (4, 5, 6, 7)
+        handle.reported = 1
+        assert handle.unreported == (5, 6, 7)
+        handle.reported = 4
+        assert handle.unreported == ()
 
     def test_idle_workers_never_time_out(self):
         clock = iter([0.0, 100.0, 200.0])
@@ -245,6 +261,70 @@ class TestCrashRecovery:
         assert poisoned["status"] == "failed"
         assert poisoned["error_class"] == POISONED_ERROR_CLASS
 
+    def test_revoke_requeues_the_unreported_rest_of_the_lease(
+            self, steal_setup, reference):
+        """Slot 1's first incarnation dies before its third unit, inside
+        a four-unit lease: the revocation names the first unreported
+        unit as suspect and requeues exactly the unreported units."""
+        kill_after = 2
+        injector = WorkerCrashInjector(kill_after={1: kill_after})
+        flight = FlightRecorder()
+        with observe(flight=flight):
+            surveyed, stats = _run(steal_setup, workers=2, lease_size=4,
+                                   crash_injector=injector)
+        assert _snap(surveyed) == reference
+        events = flight.events()
+        revokes = [event for event in events
+                   if event["kind"] == "lease.revoke"]
+        assert len(revokes) == 1
+        revoke = revokes[0]["attrs"]
+        assert revoke["slot"] == 1 and revoke["reason"] == "exit"
+        # Until the first revocation, grants pop consecutive indices off
+        # the pending heap, so each grant's indices follow from the
+        # units granted before it.
+        granted, offset = {}, 0
+        for event in events[:events.index(revokes[0])]:
+            if event["kind"] == "lease.grant":
+                attrs = event["attrs"]
+                granted[attrs["lease"]] = (
+                    attrs["slot"], attrs["incarnation"],
+                    tuple(range(offset, offset + attrs["units"])))
+                offset += attrs["units"]
+        slot, incarnation, indices = granted[revoke["lease"]]
+        assert (slot, incarnation) == (1, 1)
+        reported = kill_after - sum(
+            len(earlier) for lease_id, (_s, inc, earlier) in granted.items()
+            if inc == incarnation and lease_id < revoke["lease"])
+        assert 0 < reported < len(indices)  # the kill lands mid-lease
+        assert revoke["suspect"] == indices[reported]
+        assert stats.units_reassigned == len(indices) - reported
+
+    def test_lease_done_with_unreported_units_raises(self, steal_setup,
+                                                     monkeypatch):
+        """A worker may finish only a lease whose every unit reported:
+        here each grant reaches the worker one unit short."""
+        class DropLastUnit:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def send(self, message):
+                if message[0] == "lease":
+                    message = ("lease", message[1][:-1])
+                self._conn.send(message)
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        class ShortLeaseSupervisor(Supervisor):
+            def _spawn(self, slot):
+                handle = super()._spawn(slot)
+                handle.conn = DropLastUnit(handle.conn)
+                return handle
+
+        monkeypatch.setattr(scheduler, "Supervisor", ShortLeaseSupervisor)
+        with pytest.raises(SchedulerError, match="unreported units"):
+            _run(steal_setup, workers=2)
+
     def test_restart_budget_exhaustion_raises(self, steal_setup):
         injector = WorkerCrashInjector(kill_after={0: 0, 1: 0})
         with pytest.raises(SchedulerError, match="restart budget"):
@@ -348,19 +428,10 @@ class TestForkedLeasePlacement:
             {first.name: json.loads(reference)[first.name][:3]},
             sort_keys=True)
 
-    def test_default_lease_survey_uses_both_workers(self, history,
-                                                     monkeypatch):
+    def test_default_lease_survey_uses_both_workers(self, history):
         """At the default cap a 35-unit configuration still spreads over
         both workers, in guided grants, and matches one worker's
         output."""
-        grants = []
-
-        class RecordingLedger(LeaseLedger):
-            def grant(self, worker, indices):
-                lease = super().grant(worker, indices)
-                grants.append((worker, len(lease)))
-                return lease
-
         def survey(workers):
             result = run_survey(history, SurveyConfig(
                 top_n=20, stratum_size=5, workers=workers))
@@ -372,10 +443,13 @@ class TestForkedLeasePlacement:
                 sort_keys=True)
 
         _, serial = survey(1)
-        monkeypatch.setattr(scheduler, "LeaseLedger", RecordingLedger)
-        result, forked = survey(2)
+        flight = FlightRecorder()
+        with observe(flight=flight):
+            result, forked = survey(2)
         assert forked == serial
-        assert {worker for worker, _size in grants} == {0, 1}
+        grants = [event["attrs"] for event in flight.events()
+                  if event["kind"] == "lease.grant"]
+        assert {grant["slot"] for grant in grants} == {0, 1}
 
         pending = sum(len(group.targets) for group in result.groups)
         expected = []
@@ -383,7 +457,7 @@ class TestForkedLeasePlacement:
             expected.append(guided_lease_size(pending, 2,
                                               DEFAULT_LEASE_SIZE))
             pending -= expected[-1]
-        assert [size for _worker, size in grants] == expected * 2
+        assert [grant["units"] for grant in grants] == expected * 2
 
 
 class TestMakespanModel:
